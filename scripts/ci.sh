@@ -11,10 +11,10 @@
 #    run ctest with --output-on-failure and the per-test TIMEOUTs/LABELS
 #    registered in CMakeLists.txt. The high-thread `stress` tier, the
 #    txbatch `batch` tier, the `adaptive` tier, and the `durable` tier run
-#    in all three cells, so the contention managers, the batched clock,
-#    the merge layer's compensation path, the online log-selection policy,
-#    and the durable commit leg are raced under both sanitizers on every
-#    push. The tsan preset excludes only bench-smoke and the fork-based
+#    in all three cells, so backoff under 16/32-thread oversubscription,
+#    the batched clock, the merge layer's compensation path, the online
+#    log-selection policy, and the durable commit leg are raced under both
+#    sanitizers on every push. The tsan preset excludes only bench-smoke and the fork-based
 #    `crash` recovery harness (TSan and fork() don't mix); the crash tests
 #    still run under release AND ASan.
 #  * `release` additionally writes the static-analysis elision table and

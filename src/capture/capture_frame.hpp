@@ -44,10 +44,6 @@ struct alignas(kCacheLineSize) CaptureFrame {
   std::uint64_t filter_epoch = 0;
   std::uint32_t filter_shift = 0;
 
-  /// cfg.nested_undo_for_captured, resolved at begin so captured-write fast
-  /// paths never read the config.
-  bool nested_undo = true;
-
   /// Precise log for the tree-backed plans and count-mode classification.
   const TreeAllocLog* tree = nullptr;
 

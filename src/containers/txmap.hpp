@@ -4,14 +4,17 @@
 // which keeps the transactional implementation auditable while preserving
 // the balanced-BST access profile the paper's benchmarks exercise
 // (traversal reads are shared/manual; node initialization after tx_new is
-// captured; structural link writes are shared/manual). Priorities come
-// from a thread-local PRNG, making balance independent of insertion order
-// (vacation inserts sequential ids at setup). All barrier + Site decisions
-// live in the tfield/tvar types of Node and the map header.
+// captured; structural link writes are shared/manual). A node's priority
+// is a fixed 64-bit mix of its key's bytes, which keeps balance independent
+// of insertion order (vacation inserts sequential ids at setup) while the
+// treap's shape depends only on the key set — not on the inserting thread,
+// the insertion history or the process. All barrier + Site decisions live
+// in the tfield/tvar types of Node and the map header.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 
 #include "generated/site_verdicts.hpp"
@@ -104,10 +107,10 @@ class TxMap {
     tfield<Node*, map_sites::kChild> right;
   };
 
-  static std::uint64_t draw_priority() {
-    thread_local Xoshiro256 rng(0x7a3e9f5ull ^
-                                reinterpret_cast<std::uintptr_t>(&rng));
-    return rng.next();
+  static std::uint64_t priority_of(const K& k) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &k, sizeof(K));
+    return SplitMix64(bits).next();
   }
 
   Node* find_node(Tx& tx, const K& k) {
@@ -130,7 +133,7 @@ class TxMap {
       Node* node = tx_new<Node>(tx);
       node->key.init(tx, k);
       node->value.init(tx, v);
-      node->prio.init(tx, draw_priority());
+      node->prio.init(tx, priority_of(k));
       node->left.init(tx, nullptr);
       node->right.init(tx, nullptr);
       *inserted = true;

@@ -2,16 +2,13 @@
 // per-descriptor dispatch slot, so the barriers pay zero config branches
 // and zero indirect calls per access.
 //
-// Before this existed, every tm_read/tm_write evaluated up to six cfg
-// booleans, a switch over cfg.alloc_log, and an indirect membership call —
-// per access, against a configuration that cannot change inside a
-// transaction. The plan hoists all of that to begin_top: each barrier
-// direction (read, write) is mapped to one of a small set of specialized
-// fast paths (template instantiations in stm/barriers.hpp), and the
-// allocator hooks are told which concrete log to feed. The paper's named
-// configurations all land on a specialized path; arbitrary hand-rolled
-// flag combinations still work through the kGeneric fallback, which keeps
-// the old per-access branching semantics.
+// Every tm_read/tm_write would otherwise re-derive, per access, decisions
+// that cannot change inside a transaction: which capture checks run and
+// which allocation log answers the heap check. The plan hoists all of that
+// to begin_top: each Barriers preset maps each barrier direction (read,
+// write) to one of a small set of specialized fast paths (template
+// instantiations in stm/barriers.hpp), and the allocator hooks are told
+// which concrete log to feed.
 #pragma once
 
 #include <cstdint>
@@ -39,18 +36,12 @@ enum class BarrierPath : std::uint8_t {
   kHeapArray,
   kHeapFilter,
   kCounting,            // Fig. 8: classify precisely, then full barrier
-  kGeneric,             // any other flag combination: per-access cfg checks
 };
 
 struct BarrierPlan {
   BarrierPath read = BarrierPath::kFull;
   BarrierPath write = BarrierPath::kFull;
   ActiveLog log = ActiveLog::kNone;
-  // Contention manager, resolved once at begin like the barrier paths: the
-  // conflict slow path (Tx::on_conflict) and the post-abort pause dispatch
-  // on this field, never on TxConfig — the access fast paths stay free of
-  // per-access policy branches.
-  ContentionPolicy cm = ContentionPolicy::kBackoff;
   // Durable mode, resolved once at begin like everything else. Consulted
   // only inside the outlined full-write slow path (to append the redo
   // entry) and at commit_top — the inlined fast paths, including every
@@ -68,70 +59,47 @@ struct BarrierPlan {
   /// the whole re-specialization hook: plans change between transactions,
   /// barriers never dispatch on anything but the compiled plan.
   static constexpr BarrierPlan compile(const TxConfig& cfg) {
-    TxConfig c = cfg;
-    if (c.alloc_log == AllocLogKind::kAdaptive) {
-      c.alloc_log = AllocLogKind::kArray;  // AdaptiveLogPolicy's start state
-    }
-    return compile_concrete(c);
-  }
-
- private:
-  static constexpr BarrierPlan compile_concrete(const TxConfig& cfg) {
+    const AllocLogKind k = cfg.alloc_log == AllocLogKind::kAdaptive
+                               ? AllocLogKind::kArray  // policy's start state
+                               : cfg.alloc_log;
     BarrierPlan p;
-    p.cm = cfg.contention;
     p.durable = cfg.durable;
-    p.log = cfg.count_mode ? ActiveLog::kTree  // precise classification
-            : (cfg.heap_read || cfg.heap_write) ? to_active(cfg.alloc_log)
-                                                : ActiveLog::kNone;
-    if (cfg.count_mode) {
-      // The counting preset runs no elision; counting combined with other
-      // optimizations is a measurement nobody defined — generic handles it.
-      const bool pure = !cfg.static_elision && !cfg.any_read_check() &&
-                        !cfg.any_write_check();
-      p.read = p.write = pure ? BarrierPath::kCounting : BarrierPath::kGeneric;
-      return p;
-    }
-    if (cfg.static_elision) {
-      if (cfg.any_read_check() || cfg.any_write_check()) {
-        p.read = p.write = BarrierPath::kGeneric;
-      } else {
+    if (checks_alloc_log(cfg.barriers)) p.log = to_active(k);
+    switch (cfg.barriers) {
+      case Barriers::kFull:
+        break;
+      case Barriers::kStatic:
         p.read = p.write = BarrierPath::kStatic;
-      }
-      return p;
+        break;
+      case Barriers::kRuntimeRW:
+        p.read = p.write = with_log(BarrierPath::kStackHeapPrivTree, k);
+        break;
+      case Barriers::kRuntimeW:
+        p.write = with_log(BarrierPath::kStackHeapPrivTree, k);
+        break;
+      case Barriers::kRuntimeHeapW:
+        p.write = with_log(BarrierPath::kHeapTree, k);
+        break;
+      case Barriers::kCounting:
+        p.read = p.write = BarrierPath::kCounting;
+        p.log = ActiveLog::kTree;  // precise classification
+        break;
     }
-    p.read =
-        direction(cfg.stack_read, cfg.heap_read, cfg.private_read, cfg.alloc_log);
-    p.write = direction(cfg.stack_write, cfg.heap_write, cfg.private_write,
-                        cfg.alloc_log);
     return p;
   }
 
  private:
+  // ActiveLog and the ×{tree,array,filter} BarrierPath families are laid
+  // out in AllocLogKind order, so selecting the member is an add, not a
+  // switch. Callers pass a concrete kind (never the kAdaptive tag).
   static constexpr ActiveLog to_active(AllocLogKind k) {
-    switch (k) {
-      case AllocLogKind::kTree: return ActiveLog::kTree;
-      case AllocLogKind::kArray: return ActiveLog::kArray;
-      case AllocLogKind::kFilter: return ActiveLog::kFilter;
-      case AllocLogKind::kAdaptive: return ActiveLog::kArray;  // start state
-    }
-    return ActiveLog::kTree;
+    return static_cast<ActiveLog>(static_cast<int>(ActiveLog::kTree) +
+                                  static_cast<int>(k));
   }
-
-  // BarrierPath lays the ×{tree,array,filter} families out contiguously in
-  // AllocLogKind order, so selecting the member is an add, not a switch.
   static constexpr BarrierPath with_log(BarrierPath tree_member,
                                         AllocLogKind k) {
     return static_cast<BarrierPath>(static_cast<int>(tree_member) +
                                     static_cast<int>(k));
-  }
-
-  static constexpr BarrierPath direction(bool stack, bool heap, bool priv,
-                                         AllocLogKind k) {
-    if (!stack && !heap && !priv) return BarrierPath::kFull;
-    if (stack && heap && priv)
-      return with_log(BarrierPath::kStackHeapPrivTree, k);
-    if (!stack && heap && !priv) return with_log(BarrierPath::kHeapTree, k);
-    return BarrierPath::kGeneric;
   }
 };
 

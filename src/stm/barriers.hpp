@@ -13,9 +13,7 @@
 // BarrierPlan (stm/barrier_plan.hpp), and each barrier dispatches on the
 // plan's per-direction slot to a fully specialized path — zero config
 // branches, zero indirect calls, membership state read straight from the
-// packed CaptureFrame in the descriptor. Arbitrary hand-rolled configs that
-// match no specialized path fall back to kGeneric, which re-derives the
-// checks from cfg per access (the pre-plan behavior).
+// packed CaptureFrame in the descriptor.
 #pragma once
 
 #include <atomic>
@@ -52,8 +50,7 @@ template <TmValue T>
     const std::uint64_t v1 = rec.load(std::memory_order_acquire);
     if (orec::is_locked(v1)) {
       if (orec::owner_of(v1) == &tx) return load_relaxed(addr);  // read-own
-      tx.on_conflict(&rec);
-      continue;
+      tx.on_conflict();
     }
     const T val = load_relaxed(addr);
     const std::uint64_t v2 = rec.load(std::memory_order_acquire);
@@ -81,8 +78,7 @@ template <TmValue T>
         if (tx.plan.durable) tx.durable_record(addr, sizeof(T));
         return;
       }
-      tx.on_conflict(&rec);
-      continue;
+      tx.on_conflict();
     }
     if (orec::version_of(v) > tx.start_ts) {
       if (!tx.extend()) tx.abort_self();
@@ -165,7 +161,7 @@ template <PathSpec P>
 /// on abort.
 template <TmValue T>
 [[gnu::always_inline]] inline void captured_store(Tx& tx, T* addr, T value) {
-  if (tx.depth > 1 && tx.frame.nested_undo) [[unlikely]] {
+  if (tx.depth > 1) [[unlikely]] {
     tx.undo.record(addr, sizeof(T));
   }
   store_relaxed(addr, value);
@@ -220,68 +216,16 @@ template <PathSpec P, TmValue T>
   full_tm_write(tx, addr, value);
 }
 
-// ---------------------------------------------------------------------------
-// Generic fallback (BarrierPath::kGeneric)
-// ---------------------------------------------------------------------------
-// Re-derives every check from cfg per access — the pre-plan behavior, kept
-// for flag combinations no specialized path covers.
-
-template <TmValue T>
-[[gnu::noinline]] T generic_tm_read(Tx& tx, const T* addr, const Site& site) {
-  if (tx.cfg.count_mode) [[unlikely]] {
-    classify_access(tx, addr, sizeof(T), site, /*is_write=*/false);
-  }
-  if (tx.cfg.static_elision && site.read_elidable()) {
-    ++tx.stats.read_elided_static;
-    return *addr;
-  }
-  if (tx.cfg.any_read_check()) {
-    switch (tx.runtime_captured(addr, sizeof(T), /*is_write=*/false)) {
-      case CaptureKind::kStack: ++tx.stats.read_elided_stack; return *addr;
-      case CaptureKind::kHeap: ++tx.stats.read_elided_heap; return *addr;
-      case CaptureKind::kPrivate: ++tx.stats.read_elided_private; return *addr;
-      case CaptureKind::kNone: break;
-    }
-  }
-  return full_tm_read(tx, addr);
-}
-
-template <TmValue T>
-[[gnu::noinline]] void generic_tm_write(Tx& tx, T* addr, T value, const Site& site) {
-  if (tx.cfg.count_mode) [[unlikely]] {
-    classify_access(tx, addr, sizeof(T), site, /*is_write=*/true);
-  }
-  if (tx.cfg.static_elision && site.write_elidable()) {
-    ++tx.stats.write_elided_static;
-    *addr = value;
-    return;
-  }
-  if (tx.cfg.any_write_check()) {
-    const CaptureKind k = tx.runtime_captured(addr, sizeof(T), /*is_write=*/true);
-    if (k != CaptureKind::kNone) {
-      switch (k) {
-        case CaptureKind::kStack: ++tx.stats.write_elided_stack; break;
-        case CaptureKind::kHeap: ++tx.stats.write_elided_heap; break;
-        case CaptureKind::kPrivate: ++tx.stats.write_elided_private; break;
-        case CaptureKind::kNone: break;
-      }
-      captured_store(tx, addr, value);
-      return;
-    }
-  }
-  full_tm_write(tx, addr, value);
-}
-
 }  // namespace detail
 
 /// Transactional read of *addr. Outside a transaction this is a plain load,
 /// which lets the same code run for sequential setup and verification.
 ///
-/// Force-inlined: with the full barrier and the generic fallback outlined,
-/// what remains is the plan dispatch plus the capture checks — exactly the
-/// code that must sit in the caller's loop for an elided access to cost a
-/// couple of instructions (the seed inlined its smaller, branchier
-/// equivalent; without the attribute GCC balks at the switch's size).
+/// Force-inlined: with the full barrier outlined, what remains is the plan
+/// dispatch plus the capture checks — exactly the code that must sit in the
+/// caller's loop for an elided access to cost a couple of instructions (the
+/// seed inlined its smaller, branchier equivalent; without the attribute
+/// GCC balks at the switch's size).
 template <TmValue T>
 [[gnu::always_inline]] inline T tm_read(Tx& tx, const T* addr,
                                         const Site& site = kSharedSite) {
@@ -311,8 +255,6 @@ template <TmValue T>
     case BarrierPath::kCounting:
       detail::classify_access(tx, addr, sizeof(T), site, /*is_write=*/false);
       break;
-    case BarrierPath::kGeneric:
-      return detail::generic_tm_read(tx, addr, site);
   }
   return detail::full_tm_read(tx, addr);
 }
@@ -352,8 +294,6 @@ template <TmValue T>
     case BarrierPath::kCounting:
       detail::classify_access(tx, addr, sizeof(T), site, /*is_write=*/true);
       break;
-    case BarrierPath::kGeneric:
-      return detail::generic_tm_write(tx, addr, value, site);
   }
   detail::full_tm_write(tx, addr, value);
 }

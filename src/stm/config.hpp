@@ -1,7 +1,8 @@
-// Runtime configuration: which capture checks run inside the barriers, which
-// allocation-log data structure backs the heap check, and the contention
-// policy. The named presets correspond exactly to the configurations the
-// paper evaluates in Figures 9-11 and Tables 1-2.
+// Runtime configuration: which barrier preset runs, which allocation-log
+// data structure backs the heap check, and whether commits are durable.
+// The named presets correspond exactly to the configurations the paper
+// evaluates in Figures 9-11 and Tables 1-2; conflicts are always resolved
+// by the paper's policy (abort self, exponential backoff before retry).
 #pragma once
 
 #include <cstdint>
@@ -10,64 +11,38 @@
 
 namespace cstm {
 
-enum class ContentionPolicy : std::uint8_t {
-  kBackoff = 0,        // abort self, exponential backoff before retry (paper)
-  kSuicide = 1,        // abort self, retry immediately
-  kSpinThenAbort = 2,  // bounded spin on the lock, then abort self
-  kKarma = 3,          // priority = work invested (Scherer & Scott); loser aborts
-  kGreedy = 4          // oldest-first by begin ticket (Guerraoui et al.)
+/// The barrier configuration, one value per preset the paper measures.
+/// BarrierPlan::compile maps each value to specialized per-direction paths.
+enum class Barriers : std::uint8_t {
+  kFull = 0,      // no capture checks: every access takes the full barrier
+  kStatic,        // compiler capture analysis (Section 3.2): Site::verdict
+  kRuntimeRW,     // runtime stack + heap + private checks, reads and writes
+  kRuntimeW,      // the same checks in write barriers only
+  kRuntimeHeapW,  // runtime heap check in write barriers only (Fig. 11(b))
+  kCounting,      // Fig. 8: classify every access, then the full barrier
 };
 
+/// True for the presets whose capture checks consult the allocation log,
+/// i.e. the only ones TxConfig::alloc_log configures.
+constexpr bool checks_alloc_log(Barriers b) {
+  return b == Barriers::kRuntimeRW || b == Barriers::kRuntimeW ||
+         b == Barriers::kRuntimeHeapW;
+}
+
 struct TxConfig {
-  // Runtime capture checks (Section 3.1), separately for reads and writes to
-  // reproduce the paper's "write barriers only" configurations.
-  bool stack_read = false;
-  bool stack_write = false;
-  bool heap_read = false;
-  bool heap_write = false;
+  Barriers barriers = Barriers::kFull;
 
-  // Annotation-registry checks (Section 3.1.3, thread-local/read-only data).
-  bool private_read = false;
-  bool private_write = false;
-
-  // Compiler capture analysis (Section 3.2): honor Site::verdict.
-  bool static_elision = false;
-
-  // Fig. 8 counting mode: classify every barrier with the precise tree log
-  // but still execute the full barrier (measurement, not optimization).
-  bool count_mode = false;
-
-  // Undo-log writes to captured memory inside nested transactions so that a
-  // partial abort can restore them (Section 2.2.1).
-  bool nested_undo_for_captured = true;
+  AllocLogKind alloc_log = AllocLogKind::kTree;
 
   // Durable mode (ROADMAP direction 2): non-captured stores are redo-logged
   // and commit runs the flush/fence protocol in src/durable/. Compiled into
   // BarrierPlan::durable — zero per-access branches when off, one branch in
-  // the outlined full-write slow path when on. Orthogonal to the capture
-  // presets, like the contention axis.
+  // the outlined full-write slow path when on. Orthogonal to the barrier
+  // presets.
   bool durable = false;
 
-  AllocLogKind alloc_log = AllocLogKind::kTree;
-  ContentionPolicy contention = ContentionPolicy::kBackoff;
-
-  constexpr bool any_read_check() const { return stack_read || heap_read || private_read; }
-  constexpr bool any_write_check() const {
-    return stack_write || heap_write || private_write;
-  }
-
-  /// Same barrier configuration, different contention manager. CM choice is
-  /// orthogonal to the capture presets, so the differential matrix crosses
-  /// the two axes with this helper.
-  constexpr TxConfig with_contention(ContentionPolicy p) const {
-    TxConfig c = *this;
-    c.contention = p;
-    return c;
-  }
-
-  /// Same barrier configuration, with durability on. Crossed over the
-  /// capture presets exactly like with_contention — the differential suite
-  /// checks that durability never changes committed state.
+  /// Same barrier configuration, with durability on. The differential
+  /// suite checks that durability never changes committed state.
   constexpr TxConfig with_durable() const {
     TxConfig c = *this;
     c.durable = true;
@@ -80,29 +55,18 @@ struct TxConfig {
 
   /// Runtime checks for tx-local stack and heap in read AND write barriers.
   static constexpr TxConfig runtime_rw(AllocLogKind k = AllocLogKind::kTree) {
-    TxConfig c;
-    c.stack_read = c.stack_write = c.heap_read = c.heap_write = true;
-    c.private_read = c.private_write = true;
-    c.alloc_log = k;
-    return c;
+    return TxConfig{Barriers::kRuntimeRW, k};
   }
 
   /// Runtime checks for tx-local stack and heap in write barriers only.
   static constexpr TxConfig runtime_w(AllocLogKind k = AllocLogKind::kTree) {
-    TxConfig c;
-    c.stack_write = c.heap_write = true;
-    c.private_write = true;
-    c.alloc_log = k;
-    return c;
+    return TxConfig{Barriers::kRuntimeW, k};
   }
 
   /// Runtime checks for tx-local heap only, write barriers only (the
   /// configuration of Figure 11(b)).
   static constexpr TxConfig runtime_heap_w(AllocLogKind k = AllocLogKind::kTree) {
-    TxConfig c;
-    c.heap_write = true;
-    c.alloc_log = k;
-    return c;
+    return TxConfig{Barriers::kRuntimeHeapW, k};
   }
 
   /// Beyond the paper: full runtime checks with the allocation-log
@@ -114,11 +78,7 @@ struct TxConfig {
   }
 
   /// Compiler capture analysis: statically elided barriers, no runtime cost.
-  static constexpr TxConfig compiler() {
-    TxConfig c;
-    c.static_elision = true;
-    return c;
-  }
+  static constexpr TxConfig compiler() { return TxConfig{Barriers::kStatic}; }
 
   /// Durable mode with full runtime capture checks: the configuration
   /// where capture elides both STM barriers AND redo-log flushes (the
@@ -134,13 +94,9 @@ struct TxConfig {
     return baseline().with_durable();
   }
 
-  /// Fig. 8 barrier-breakdown measurement.
-  static constexpr TxConfig counting() {
-    TxConfig c;
-    c.count_mode = true;
-    c.alloc_log = AllocLogKind::kTree;  // precise classification
-    return c;
-  }
+  /// Fig. 8 barrier-breakdown measurement (always classifies with the
+  /// precise tree log, whatever alloc_log says).
+  static constexpr TxConfig counting() { return TxConfig{Barriers::kCounting}; }
 };
 
 /// Installs the configuration picked up by transactions at begin. Threads

@@ -12,7 +12,6 @@
 
 #include "capture/adaptive.hpp"
 #include "capture/capture_frame.hpp"
-#include "capture/private_registry.hpp"
 #include "stm/alloc_ctx.hpp"
 #include "stm/barrier_plan.hpp"
 #include "stm/config.hpp"
@@ -32,7 +31,7 @@ struct TxAbortException {};
 /// retrying (partial abort when nested, cancellation at top level).
 struct TxUserAbort {};
 
-enum class CaptureKind : std::uint8_t { kNone, kStack, kHeap, kPrivate };
+enum class CaptureKind : std::uint8_t { kNone, kStack, kHeap };
 
 class Tx {
  public:
@@ -65,22 +64,6 @@ class Tx {
   /// (gclock.hpp). Survives across transactions — that is the whole point
   /// of batching.
   ClockReservation tclock;
-
-  // -- Contention-manager state (read by CONFLICTING threads) ----------------
-  // Both fields are written by the owning thread and read by threads that
-  // find this descriptor in a locked orec, hence atomic. Readers go through
-  // the StatsRegistry snapshot helpers in stm.cpp, which pin the descriptor
-  // alive for the duration of the read.
-
-  /// Karma: logged accesses accumulated over this transaction's aborted
-  /// attempts (reset at commit/cancel). Priority for karma arbitration.
-  std::atomic<std::uint64_t> cm_karma{0};
-
-  /// Greedy: global begin ticket, assigned at the FIRST attempt of a
-  /// top-level transaction and kept across retries (age only grows);
-  /// kNoTicket while no greedy transaction is running.
-  static constexpr std::uint64_t kNoTicket = ~std::uint64_t{0};
-  std::atomic<std::uint64_t> cm_ticket{kNoTicket};
 
   TxLog<ReadEntry> rs;
   TxLog<OwnedOrec> ws;
@@ -141,8 +124,8 @@ class Tx {
   /// maintains no log and never invokes @p fn). Mutating call sites —
   /// allocator hooks, nested-abort replay, end-of-tx reset — all go
   /// through here; the read-side membership dispatch lives in the barrier
-  /// plan paths and alloc_log_contains below, which read the frame's
-  /// cached views instead of the (lazily constructed) log objects.
+  /// plan paths, which read the frame's cached views instead of the
+  /// (lazily constructed) log objects.
   template <typename Fn>
   void with_active_log(Fn&& fn) {
     switch (plan.log) {
@@ -158,15 +141,6 @@ class Tx {
   }
   void alloc_log_erase(const void* p, std::size_t n) {
     with_active_log([&](auto& log) { log.erase(p, n); });
-  }
-  bool alloc_log_contains(const void* p, std::size_t n) const {
-    switch (plan.log) {
-      case ActiveLog::kNone: return false;
-      case ActiveLog::kTree: return frame.tree_contains(p, n);
-      case ActiveLog::kArray: return frame.array_contains(p, n);
-      case ActiveLog::kFilter: return frame.filter_contains(p, n);
-    }
-    return false;
   }
 
   bool in_tx() const { return depth > 0; }
@@ -211,35 +185,15 @@ class Tx {
 
   bool validate() const;
   bool extend();
-  /// Called on a lock conflict: dispatches on plan.cm (never cfg) — spin,
-  /// abort self, or arbitrate by karma/age against the lock owner.
-  void on_conflict(std::atomic<std::uint64_t>* rec);
-  /// Post-abort pause, dispatched on plan.cm from the retry loop in
-  /// txn.hpp. kBackoff pauses exponentially; karma/greedy pause only after
-  /// repeated consecutive aborts (single-core livelock guard).
-  void after_abort_pause();
-  void pause_backoff() { backoff_.pause(consecutive_aborts); }
-
-  // -- Runtime capture analysis (Section 3.1) --------------------------------
-  // The specialized plan paths in stm/barriers.hpp read the frame directly;
-  // these two remain for the kGeneric fallback and count mode.
-
-  /// Returns how [addr, addr+n) is captured, honoring the per-config check
-  /// switches for the given access direction.
-  CaptureKind runtime_captured(const void* addr, std::size_t n, bool is_write) {
-    if (is_write ? cfg.stack_write : cfg.stack_read) {
-      if (frame.on_tx_stack(addr, n)) return CaptureKind::kStack;
-    }
-    if (is_write ? cfg.heap_write : cfg.heap_read) {
-      if (alloc_log_contains(addr, n)) return CaptureKind::kHeap;
-    }
-    if (is_write ? cfg.private_write : cfg.private_read) {
-      if (frame.priv != nullptr && frame.priv->contains(addr, n)) {
-        return CaptureKind::kPrivate;
-      }
-    }
-    return CaptureKind::kNone;
+  /// Called on a lock held by another transaction: the paper's contention
+  /// policy — abort self; the retry loop backs off before the next attempt.
+  [[noreturn]] void on_conflict() {
+    ++stats.cm_aborts_backoff;
+    abort_self();
   }
+  /// Randomized exponential pause before a retry, called from the retry
+  /// loop in txn.hpp after a conflict abort.
+  void after_abort_pause() { backoff_.pause(consecutive_aborts); }
 
   /// Precise classification for count mode (Fig. 8): heap first, then stack.
   CaptureKind classify(const void* addr, std::size_t n) {
@@ -253,6 +207,10 @@ class Tx {
   }
 
  private:
+  /// Top-level rollback shared by abort_self and cancel: undo, release
+  /// owned orecs with a fresh stamp, free this attempt's allocations,
+  /// reset the logs and go idle.
+  void rollback_top();
   void reset_logs();
   std::unique_ptr<TreeAllocLog> tree_log_;
   std::unique_ptr<FilterAllocLog> filter_log_;

@@ -67,13 +67,9 @@ struct TxStats {
   std::uint64_t clock_stale_discards = 0;
   std::uint64_t lazy_revalidations = 0;
 
-  // Self-aborts attributed to the contention-manager policy that decided
-  // them (conflict-driven aborts only; user aborts are not counted here).
+  // Self-aborts on a lock conflict, decided by the backoff contention
+  // policy (user aborts and validation failures are not counted here).
   std::uint64_t cm_aborts_backoff = 0;
-  std::uint64_t cm_aborts_suicide = 0;
-  std::uint64_t cm_aborts_spin = 0;
-  std::uint64_t cm_aborts_karma = 0;
-  std::uint64_t cm_aborts_greedy = 0;
 
   // Nested partial aborts (Tx::abort_nested): closed-nested levels rolled
   // back individually, whatever triggered them (user abort_tx, txbatch
@@ -196,10 +192,6 @@ struct TxStats {
     clock_stale_discards += o.clock_stale_discards;
     lazy_revalidations += o.lazy_revalidations;
     cm_aborts_backoff += o.cm_aborts_backoff;
-    cm_aborts_suicide += o.cm_aborts_suicide;
-    cm_aborts_spin += o.cm_aborts_spin;
-    cm_aborts_karma += o.cm_aborts_karma;
-    cm_aborts_greedy += o.cm_aborts_greedy;
     nested_partial_aborts += o.nested_partial_aborts;
     batch_flushes += o.batch_flushes;
     batch_ops += o.batch_ops;

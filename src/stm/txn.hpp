@@ -44,8 +44,7 @@ template <typename F>
       tx.commit_top();
       return;
     } catch (const TxAbortException&) {
-      // Conflict: state already rolled back; the plan's contention manager
-      // decides whether (and how long) to pause before the retry.
+      // Conflict: state already rolled back; back off before the retry.
       tx.after_abort_pause();
     } catch (const TxUserAbort&) {
       tx.cancel();

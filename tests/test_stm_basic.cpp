@@ -20,8 +20,7 @@ class StmBasic : public ::testing::Test {
 
 // Every preset maps onto exactly the specialized barrier path its name
 // promises — checked at compile time, since BarrierPlan::compile is
-// constexpr. A preset silently landing on kGeneric would keep working but
-// lose the whole point of the plan refactor.
+// constexpr.
 namespace plan_checks {
 constexpr BarrierPlan kBaseline = BarrierPlan::compile(TxConfig::baseline());
 static_assert(kBaseline.read == BarrierPath::kFull &&
@@ -58,7 +57,7 @@ static_assert(kCounting.read == BarrierPath::kCounting &&
 
 // The kAdaptive tag never reaches a barrier: compiling an unresolved
 // adaptive config yields the policy's start state — the fully specialized
-// ARRAY path, not kGeneric and not some new adaptive dispatch.
+// ARRAY path, not some new adaptive dispatch.
 constexpr BarrierPlan kAdaptiveStart =
     BarrierPlan::compile(TxConfig::runtime_heap_w(AllocLogKind::kAdaptive));
 static_assert(kAdaptiveStart.read == BarrierPath::kFull &&
@@ -69,29 +68,53 @@ constexpr BarrierPlan kAdaptiveRw = BarrierPlan::compile(TxConfig::adaptive());
 static_assert(kAdaptiveRw.read == BarrierPath::kStackHeapPrivArray &&
               kAdaptiveRw.write == BarrierPath::kStackHeapPrivArray &&
               kAdaptiveRw.log == ActiveLog::kArray);
-}  // namespace plan_checks
 
-TEST_F(StmBasic, OffPresetConfigFallsBackToGenericPath) {
-  // A hand-rolled combination no preset names (stack checks without heap)
-  // must land on the generic path and still elide correctly.
-  TxConfig cfg;
-  cfg.stack_write = true;
-  const BarrierPlan plan = BarrierPlan::compile(cfg);
-  EXPECT_EQ(plan.write, BarrierPath::kGeneric);
-  EXPECT_EQ(plan.read, BarrierPath::kFull);
-  EXPECT_EQ(plan.log, ActiveLog::kNone);
+// The whole config space: every Barriers value crossed with every
+// AllocLogKind compiles to a specialized path. Presets without a heap check
+// ignore alloc_log; counting always classifies with the tree; the runtime
+// presets pick the family member (and the active log) for the concrete
+// kind, kAdaptive resolving to the policy's array start state.
+struct LogRow {
+  AllocLogKind kind;
+  BarrierPath stack_heap_priv;
+  BarrierPath heap;
+  ActiveLog log;
+};
 
-  set_global_config(cfg);
-  std::uint64_t observed = 0;
-  atomic([&](Tx& tx) {
-    std::uint64_t local[4] = {};
-    tm_write(tx, &local[1], std::uint64_t{9});
-    observed = local[1];
-  });
-  const TxStats s = stats_snapshot();
-  EXPECT_EQ(s.write_elided_stack, 1u);
-  EXPECT_EQ(observed, 9u);
+constexpr bool plan_is(Barriers b, AllocLogKind k, BarrierPath read,
+                       BarrierPath write, ActiveLog log) {
+  const BarrierPlan p = BarrierPlan::compile(TxConfig{b, k});
+  return p.read == read && p.write == write && p.log == log;
 }
+
+constexpr bool every_barriers_value_specialized(const LogRow& r) {
+  using P = BarrierPath;
+  return plan_is(Barriers::kFull, r.kind, P::kFull, P::kFull,
+                 ActiveLog::kNone) &&
+         plan_is(Barriers::kStatic, r.kind, P::kStatic, P::kStatic,
+                 ActiveLog::kNone) &&
+         plan_is(Barriers::kRuntimeRW, r.kind, r.stack_heap_priv,
+                 r.stack_heap_priv, r.log) &&
+         plan_is(Barriers::kRuntimeW, r.kind, P::kFull, r.stack_heap_priv,
+                 r.log) &&
+         plan_is(Barriers::kRuntimeHeapW, r.kind, P::kFull, r.heap, r.log) &&
+         plan_is(Barriers::kCounting, r.kind, P::kCounting, P::kCounting,
+                 ActiveLog::kTree);
+}
+
+static_assert(every_barriers_value_specialized(
+    {AllocLogKind::kTree, BarrierPath::kStackHeapPrivTree,
+     BarrierPath::kHeapTree, ActiveLog::kTree}));
+static_assert(every_barriers_value_specialized(
+    {AllocLogKind::kArray, BarrierPath::kStackHeapPrivArray,
+     BarrierPath::kHeapArray, ActiveLog::kArray}));
+static_assert(every_barriers_value_specialized(
+    {AllocLogKind::kFilter, BarrierPath::kStackHeapPrivFilter,
+     BarrierPath::kHeapFilter, ActiveLog::kFilter}));
+static_assert(every_barriers_value_specialized(
+    {AllocLogKind::kAdaptive, BarrierPath::kStackHeapPrivArray,
+     BarrierPath::kHeapArray, ActiveLog::kArray}));
+}  // namespace plan_checks
 
 TEST_F(StmBasic, PlanFollowsConfigChanges) {
   // The plan is compiled at begin_top from the installed config; switching
