@@ -174,40 +174,6 @@ def compare_txbatch(committed, fresh, tolerance, violations, lines):
         )
 
 
-def compare_adaptive_profiles(committed, fresh, violations, lines):
-    """Advisory comparison of BENCH_adaptive.json policy profiles.
-
-    The record is speedup_table-shaped (same row schema as fig10/fig11b, so
-    the seconds/improvement columns go through compare_rows) plus a per-app
-    "adaptive_profile" object describing what the online policy decided.
-    The switch count is compared exactly: the decision sequence is a
-    deterministic property of the workload, so a different count means the
-    policy (or a signal feeding it) changed behaviour, not the scheduler.
-    """
-    committed_rows = {r["app"]: r for r in committed["rows"]}
-    fresh_rows = {r["app"]: r for r in fresh["rows"]}
-    for app, crow in committed_rows.items():
-        cprof = crow.get("adaptive_profile")
-        frow = fresh_rows.get(app)
-        if cprof is None or frow is None:
-            continue
-        fprof = frow.get("adaptive_profile")
-        if fprof is None:
-            violations.append(f"adaptive/{app}: profile missing from fresh run")
-            continue
-        csw, fsw = cprof["switches"], fprof["switches"]
-        if csw != fsw:
-            violations.append(
-                f"adaptive/{app}: policy made {fsw} switch(es) vs committed "
-                f"{csw} — decision sequence changed"
-            )
-        lines.append(
-            f"  adaptive {app:15s} switches {csw:3d} -> {fsw:3d}  "
-            f"ovf {cprof['array_overflow_percent']:5.1f}% -> "
-            f"{fprof['array_overflow_percent']:5.1f}%"
-        )
-
-
 def compare_durable(committed, fresh, tolerance, violations, lines):
     """Advisory comparison of BENCH_durable.json records.
 
@@ -357,24 +323,6 @@ def run(args):
     else:
         print("bench_gate: no committed BENCH_txbatch.json; skipping txbatch "
               "comparison")
-
-    # BENCH_adaptive.json is the online-policy record: speedup columns plus
-    # a per-app decision profile. Advisory like the others — optional until
-    # the first session records it.
-    committed_adaptive = os.path.join(REPO, "BENCH_adaptive.json")
-    fresh_adaptive = os.path.join(out_dir, "BENCH_adaptive.json")
-    if os.path.exists(committed_adaptive):
-        if os.path.exists(fresh_adaptive):
-            ca = load_committed(committed_adaptive, ("rows",))
-            fa = load(fresh_adaptive)
-            compare_rows("adaptive", ca, fa, args.tolerance, violations, lines)
-            compare_adaptive_profiles(ca, fa, violations, lines)
-        else:
-            print("bench_gate: committed BENCH_adaptive.json present but the "
-                  "fresh run produced none; skipping (advisory)")
-    else:
-        print("bench_gate: no committed BENCH_adaptive.json; skipping "
-              "adaptive comparison")
 
     # BENCH_durable.json: timing ratios plus the deterministic
     # flushes-elided column. Advisory and optional, like its siblings.

@@ -25,12 +25,6 @@
 #   property and the CI box has one core), TXBATCH_SCALE (default 4.0 —
 #   per-cell times of ~0.5 s, above the scheduler-jitter floor the gate
 #   comparison would otherwise drown in), TXBATCH_REPS (default = reps).
-# Environment overrides for the adaptive run (BENCH_adaptive.json — the
-# online capture-log policy vs the three hand-picked structures):
-#   ADAPTIVE_THREADS (default 1: the policy reacts to per-thread profiles
-#   and the CI box has one core, so single-thread is the stable cell),
-#   ADAPTIVE_SCALE (default 3.0, matching the fig11 structure sweep so the
-#   columns are comparable), ADAPTIVE_REPS (default = reps).
 # Environment overrides for the durable run (BENCH_durable.json — durable
 # commit overhead and flushes-elided% vs the non-durable reference and the
 # capture-disabled durable baseline):
@@ -55,9 +49,6 @@ fig11_reps="${FIG11_REPS:-5}"
 txbatch_threads="${TXBATCH_THREADS:-1}"
 txbatch_scale="${TXBATCH_SCALE:-4.0}"
 txbatch_reps="${TXBATCH_REPS:-$reps}"
-adaptive_threads="${ADAPTIVE_THREADS:-1}"
-adaptive_scale="${ADAPTIVE_SCALE:-3.0}"
-adaptive_reps="${ADAPTIVE_REPS:-$reps}"
 durable_threads="${DURABLE_THREADS:-1}"
 durable_scale="${DURABLE_SCALE:-1.0}"
 durable_reps="${DURABLE_REPS:-$reps}"
@@ -66,7 +57,7 @@ jobs=$(nproc 2>/dev/null || echo 4)
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "$jobs" --target bench_fig10_single_thread \
   bench_fig11a_scal_configs bench_fig11b_structures bench_txbatch_stream \
-  bench_adaptive bench_durable
+  bench_durable
 
 # Temp file in $out_dir (same filesystem -> the rename is atomic); the trap
 # sweeps up whatever an aborted run left behind.
@@ -100,11 +91,6 @@ t=$(scratch)
 ./build/bench_txbatch_stream --scale "$txbatch_scale" \
   --reps "$txbatch_reps" --threads "$txbatch_threads" --json "$t"
 publish "$t" "$out_dir/BENCH_txbatch.json"
-
-t=$(scratch)
-./build/bench_adaptive --scale "$adaptive_scale" \
-  --reps "$adaptive_reps" --threads "$adaptive_threads" --json "$t"
-publish "$t" "$out_dir/BENCH_adaptive.json"
 
 t=$(scratch)
 ./build/bench_durable --scale "$durable_scale" \

@@ -2,9 +2,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -14,6 +17,39 @@
 #include "txir/kernels.hpp"
 
 namespace cstm::harness {
+
+namespace {
+
+[[noreturn]] void bad_value(const char* flag, const char* text,
+                            const char* want) {
+  std::fprintf(stderr, "%s wants %s, got '%s'\n", flag, want, text);
+  std::exit(2);
+}
+
+/// Whole-string integer >= 1 (atoi would turn "x" into 0 and "-2" into a
+/// negative count that later sizes a vector).
+int positive_int(const char* flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0 || v < 1 || v > INT_MAX) {
+    bad_value(flag, text, "an integer >= 1");
+  }
+  return static_cast<int>(v);
+}
+
+double positive_double(const char* flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno != 0 || !(v > 0.0) ||
+      !std::isfinite(v)) {
+    bad_value(flag, text, "a number > 0");
+  }
+  return v;
+}
+
+}  // namespace
 
 Options parse_options(int argc, char** argv) {
   Options opt;
@@ -26,11 +62,11 @@ Options parse_options(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--scale") == 0) {
-      opt.scale = std::atof(need_value("--scale"));
+      opt.scale = positive_double("--scale", need_value("--scale"));
     } else if (std::strcmp(argv[i], "--reps") == 0) {
-      opt.reps = std::atoi(need_value("--reps"));
+      opt.reps = positive_int("--reps", need_value("--reps"));
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      opt.threads = std::atoi(need_value("--threads"));
+      opt.threads = positive_int("--threads", need_value("--threads"));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       opt.seed = std::strtoull(need_value("--seed"), nullptr, 10);
     } else if (std::strcmp(argv[i], "--batch") == 0) {
@@ -43,7 +79,7 @@ Options parse_options(int argc, char** argv) {
       AllocLogKind parsed;
       if (!alloc_log_from_name(opt.capture_log, &parsed)) {
         std::fprintf(stderr,
-                     "--capture-log wants tree|array|filter|adaptive, got %s\n",
+                     "--capture-log wants tree|array|filter, got %s\n",
                      opt.capture_log.c_str());
         std::exit(2);
       }
@@ -55,7 +91,7 @@ Options parse_options(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--scale S] [--reps N] [--threads T] [--seed X] "
-                   "[--batch B] [--capture-log tree|array|filter|adaptive] "
+                   "[--batch B] [--capture-log tree|array|filter] "
                    "[--json FILE] [--smoke]\n",
                    argv[0]);
       std::exit(2);
@@ -403,9 +439,7 @@ void txbatch_stream(const Options& opt) {
   // MISSES, and a log whose miss cost grows with the merged footprint (the
   // tree) would charge the batch for its own size, burying the fixed-cost
   // amortization this experiment exists to show. (The bounded array log is
-  // out too — it overflows outright at batch 64.) --capture-log overrides,
-  // e.g. `adaptive` lets the online policy track the merge factor itself
-  // (Batcher::flush feeds it the batch size as a pre-escalation hint).
+  // out too — it overflows outright at batch 64.) --capture-log overrides.
   AllocLogKind log_kind = AllocLogKind::kFilter;
   if (!opt.capture_log.empty()) {
     alloc_log_from_name(opt.capture_log, &log_kind);  // validated at parse
@@ -489,112 +523,6 @@ void txbatch_stream(const Options& opt) {
         first_row = false;
       }
     }
-  }
-  if (json != nullptr) {
-    std::fprintf(json, "\n  ]\n}\n");
-    std::fclose(json);
-    std::printf("# wrote %s\n", opt.json.c_str());
-  }
-}
-
-void adaptive_sweep(const Options& opt) {
-  // The online policy against each hand-picked structure, in the fig11b
-  // family (write barriers only, tx-local heap only) where the structure
-  // choice dominates the outcome. The contract being measured: adaptive
-  // should track the best fixed log everywhere and beat the worst one on
-  // the apps fig11b shows diverging (genome, bayes) — without per-workload
-  // tuning.
-  std::vector<std::pair<std::string, TxConfig>> configs = {
-      {"tree", TxConfig::runtime_heap_w(AllocLogKind::kTree)},
-      {"array", TxConfig::runtime_heap_w(AllocLogKind::kArray)},
-      {"filter", TxConfig::runtime_heap_w(AllocLogKind::kFilter)},
-      {"adaptive", TxConfig::runtime_heap_w(AllocLogKind::kAdaptive)},
-  };
-  if (!opt.capture_log.empty()) {
-    std::erase_if(configs, [&](const auto& c) {
-      return c.first != opt.capture_log;
-    });
-  }
-
-  std::printf("# Adaptive capture-log selection: improvement over baseline "
-              "at %d thread%s (runtime heap-W family)\n",
-              opt.threads, opt.threads == 1 ? "" : "s");
-  std::printf("# profile: %% of adaptive transactions run on each structure "
-              "(a=array f=filter t=tree), plan switches,\n"
-              "# array-overflow%% of allocations, capture-hit%% of accesses\n");
-  std::printf("%-15s", "app");
-  for (const auto& [name, cfg] : configs) std::printf(" %9s", name.c_str());
-  std::printf("   profile a/f/t%%      sw   ovf%%   cap%%\n");
-
-  std::FILE* json = nullptr;
-  if (!opt.json.empty()) {
-    json = std::fopen(opt.json.c_str(), "w");
-    if (json == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", opt.json.c_str());
-      std::exit(1);
-    }
-    std::fprintf(json,
-                 "{\n  \"experiment\": \"adaptive\",\n  \"scale\": %g,\n"
-                 "  \"threads\": %d,\n  \"reps\": %d,\n  \"seed\": %llu,\n"
-                 "  \"rows\": [",
-                 opt.scale, opt.threads, opt.reps,
-                 static_cast<unsigned long long>(opt.seed));
-  }
-  bool first_row = true;
-  for (const auto& app : stamp::app_names()) {
-    const double base = median_seconds(app, opt.threads, TxConfig::baseline(), opt);
-    std::printf("%-15s", app.c_str());
-    if (json != nullptr) {
-      std::fprintf(json,
-                   "%s\n    {\"app\": \"%s\", \"baseline_seconds\": %.6f, "
-                   "\"improvement_percent\": {",
-                   first_row ? "" : ",", app.c_str(), base);
-      first_row = false;
-    }
-    TxStats adaptive_stats;
-    bool have_adaptive = false;
-    bool first_cfg = true;
-    for (const auto& [name, cfg] : configs) {
-      TxStats stats;
-      const double t = median_seconds(app, opt.threads, cfg, opt, &stats);
-      const double improvement = (base / t - 1.0) * 100.0;
-      std::printf(" %8.1f%%", improvement);
-      if (name == "adaptive") {
-        adaptive_stats = stats;
-        have_adaptive = true;
-      }
-      if (json != nullptr) {
-        std::fprintf(json, "%s\"%s\": %.2f", first_cfg ? "" : ", ",
-                     name.c_str(), improvement);
-        first_cfg = false;
-      }
-    }
-    if (json != nullptr) std::fprintf(json, "}");
-    if (have_adaptive) {
-      const TxStats& s = adaptive_stats;
-      const std::uint64_t atxs = s.adaptive_txs_array + s.adaptive_txs_filter +
-                                 s.adaptive_txs_tree;
-      std::printf("   %3.0f/%3.0f/%3.0f %9llu %6.1f %6.1f",
-                  pct(s.adaptive_txs_array, atxs),
-                  pct(s.adaptive_txs_filter, atxs),
-                  pct(s.adaptive_txs_tree, atxs),
-                  static_cast<unsigned long long>(s.adaptive_switches),
-                  s.capture_overflow_percent(), s.capture_hit_percent());
-      if (json != nullptr) {
-        std::fprintf(
-            json,
-            ", \"adaptive_profile\": {\"switches\": %llu, "
-            "\"txs_array\": %llu, \"txs_filter\": %llu, \"txs_tree\": %llu, "
-            "\"array_overflow_percent\": %.2f, \"capture_hit_percent\": %.2f}",
-            static_cast<unsigned long long>(s.adaptive_switches),
-            static_cast<unsigned long long>(s.adaptive_txs_array),
-            static_cast<unsigned long long>(s.adaptive_txs_filter),
-            static_cast<unsigned long long>(s.adaptive_txs_tree),
-            s.capture_overflow_percent(), s.capture_hit_percent());
-      }
-    }
-    std::printf("  (baseline %.4fs)\n", base);
-    if (json != nullptr) std::fprintf(json, "}");
   }
   if (json != nullptr) {
     std::fprintf(json, "\n  ]\n}\n");

@@ -20,14 +20,15 @@ struct Options {
   std::uint64_t seed = 20090811;
   std::size_t batch = 0;  // --batch N: txbatch merge factor (0 = sweep 1/4/16/64)
   std::string json;     // when set: also write machine-readable results here
-  /// --capture-log {tree|array|filter|adaptive}: pins the allocation-log
-  /// structure for the experiments that take one (txbatch_stream's merge
-  /// sweep, adaptive_sweep's config filter). Empty = experiment default.
+  /// --capture-log {tree|array|filter}: pins the allocation-log structure
+  /// for the experiments that take one (txbatch_stream's merge sweep).
+  /// Empty = experiment default.
   std::string capture_log;
 };
 
 /// Parses --scale/--reps/--threads/--seed/--batch/--capture-log/--json;
-/// unknown flags abort with usage.
+/// unknown flags abort with usage, and a non-numeric or out-of-range
+/// --scale (<= 0), --reps or --threads (< 1) exits 2 with a message.
 Options parse_options(int argc, char** argv);
 
 struct RunResult {
@@ -74,16 +75,6 @@ void table2_variance(const Options& opt);       // Table 2
 /// BENCH_txbatch.json record (schema consumed, advisorily, by
 /// scripts/bench_gate.py).
 void txbatch_stream(const Options& opt);
-
-/// Adaptive capture-log selection vs the three fixed structures, in the
-/// fig11b family (runtime heap-W — the family where the structure choice
-/// dominates). Prints the improvement-over-baseline table plus a per-app
-/// adaptive profile block (transaction distribution across structures,
-/// switches, array-overflow% and capture-hit%), and with --json writes the
-/// BENCH_adaptive.json record (speedup_table row schema + an
-/// "adaptive_profile" object per row; consumed advisorily by
-/// scripts/bench_gate.py). --capture-log restricts the sweep to one column.
-void adaptive_sweep(const Options& opt);
 
 /// Durable mode across STAMP: seconds for the non-durable reference
 /// (runtime stack+heap RW, filter log) vs the same config with durability

@@ -50,18 +50,8 @@ struct BarrierPlan {
 
   /// Resolves a TxConfig into its plan. Constexpr so preset→path mappings
   /// can be checked at compile time (see tests/test_stm_basic.cpp).
-  ///
-  /// The kAdaptive tag resolves HERE, to whatever concrete structure the
-  /// caller substituted; compiling a raw adaptive config yields the
-  /// policy's start state (the array), so the first transaction after a
-  /// config switch is well-defined and deterministic. begin_top re-invokes
-  /// compile with the policy's current choice whenever it moves — that is
-  /// the whole re-specialization hook: plans change between transactions,
-  /// barriers never dispatch on anything but the compiled plan.
   static constexpr BarrierPlan compile(const TxConfig& cfg) {
-    const AllocLogKind k = cfg.alloc_log == AllocLogKind::kAdaptive
-                               ? AllocLogKind::kArray  // policy's start state
-                               : cfg.alloc_log;
+    const AllocLogKind k = cfg.alloc_log;
     BarrierPlan p;
     p.durable = cfg.durable;
     if (checks_alloc_log(cfg.barriers)) p.log = to_active(k);
@@ -91,7 +81,7 @@ struct BarrierPlan {
  private:
   // ActiveLog and the ×{tree,array,filter} BarrierPath families are laid
   // out in AllocLogKind order, so selecting the member is an add, not a
-  // switch. Callers pass a concrete kind (never the kAdaptive tag).
+  // switch.
   static constexpr ActiveLog to_active(AllocLogKind k) {
     return static_cast<ActiveLog>(static_cast<int>(ActiveLog::kTree) +
                                   static_cast<int>(k));

@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "capture/adaptive.hpp"
 #include "capture/capture_frame.hpp"
 #include "stm/alloc_ctx.hpp"
 #include "stm/barrier_plan.hpp"
@@ -52,13 +51,6 @@ class Tx {
   std::uintptr_t stack_low = 0;  // low bound of this thread's stack
   unsigned depth = 0;
   unsigned consecutive_aborts = 0;
-
-  /// Online capture-log selector, consulted by begin_top when cfg.alloc_log
-  /// is the kAdaptive tag: its concrete choice is compiled into `plan`, so
-  /// the barriers stay specialized while the structure tracks the workload.
-  /// Lives here (not in the frame) because only begin_top touches it —
-  /// never an access fast path.
-  AdaptiveLogPolicy adapt;
 
   /// This thread's unconsumed slice of reserved commit timestamps
   /// (gclock.hpp). Survives across transactions — that is the whole point
@@ -175,8 +167,8 @@ class Tx {
   void commit_top();     // may abort on validation failure (throws)
   void commit_nested();
   void abort_nested();   // partial abort of the innermost level
-  void cancel();         // user abort at top level: roll back, do not retry
-  [[noreturn]] void abort_self();  // full rollback + throw TxAbortException
+  void cancel();         // top-level rollback, go idle, do not retry
+  [[noreturn]] void abort_self();  // cancel() + throw TxAbortException
 
   /// Releases quarantined blocks whose freeing epoch has quiesced (no
   /// active transaction started before it). Called from begin_top;
@@ -207,18 +199,15 @@ class Tx {
   }
 
  private:
-  /// Top-level rollback shared by abort_self and cancel: undo, release
-  /// owned orecs with a fresh stamp, free this attempt's allocations,
-  /// reset the logs and go idle.
-  void rollback_top();
+  /// The one rollback routine, shared by top-level abort/cancel (mark =
+  /// empty logs at the transaction's start_sp) and abort_nested (the
+  /// popped level's mark): undo, release ws[m.ws..] under one fresh stamp,
+  /// restore ancestor frees, unwind allocations and the durable logs.
+  void rollback_to(const LevelMark& m);
   void reset_logs();
   std::unique_ptr<TreeAllocLog> tree_log_;
   std::unique_ptr<FilterAllocLog> filter_log_;
   ExponentialBackoff backoff_;
-  /// The concrete structure the current plan was compiled with while the
-  /// adaptive tag is configured; begin_top recompiles only when the policy
-  /// moves off it.
-  AllocLogKind adapt_kind_ = AllocLogKind::kArray;
   /// ArrayAllocLog::dropped() high-water already folded into
   /// stats.array_overflows (the log's counter is cumulative; stats may be
   /// reset independently, so reset_logs folds deltas).

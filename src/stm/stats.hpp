@@ -52,14 +52,6 @@ struct TxStats {
   // observability.
   std::uint64_t array_overflows = 0;
 
-  // Adaptive capture-log selection (capture/adaptive.hpp): structure
-  // switches applied at begin_top, and how many top-level transactions ran
-  // on each concrete structure while the kAdaptive tag was configured.
-  std::uint64_t adaptive_switches = 0;
-  std::uint64_t adaptive_txs_tree = 0;
-  std::uint64_t adaptive_txs_array = 0;
-  std::uint64_t adaptive_txs_filter = 0;
-
   // Epoch-batched clock traffic (gclock.hpp): shared-counter range
   // reservations, stale ranges discarded without stamping, and lazy
   // read-set revalidations (Tx::extend) against the published epoch.
@@ -128,8 +120,8 @@ struct TxStats {
   }
 
   /// Percentage of in-transaction allocations the inline array log dropped
-  /// on overflow. Non-zero means the array is undersized for this workload
-  /// — exactly the signal that makes the adaptive policy escalate.
+  /// on overflow. Non-zero means the array is undersized for this workload:
+  /// those blocks' accesses paid full barriers.
   double capture_overflow_percent() const {
     return tx_allocs == 0 ? 0.0
                           : 100.0 * static_cast<double>(array_overflows) /
@@ -184,10 +176,6 @@ struct TxStats {
     tx_allocs += o.tx_allocs;
     tx_frees += o.tx_frees;
     array_overflows += o.array_overflows;
-    adaptive_switches += o.adaptive_switches;
-    adaptive_txs_tree += o.adaptive_txs_tree;
-    adaptive_txs_array += o.adaptive_txs_array;
-    adaptive_txs_filter += o.adaptive_txs_filter;
     clock_reservations += o.clock_reservations;
     clock_stale_discards += o.clock_stale_discards;
     lazy_revalidations += o.lazy_revalidations;

@@ -214,7 +214,7 @@ void Tx::reset_logs() {
   // Fold the array log's overflow counter (cumulative across clears, by
   // design) into the stats as a delta. Every transaction exit path — commit,
   // abort, cancel — and begin_top come through reset_logs, so the counter is
-  // current whenever anyone snapshots stats or the adaptive policy samples.
+  // current whenever anyone snapshots stats.
   const std::uint64_t dropped = frame.array.dropped();
   if (dropped > array_dropped_seen_) {
     stats.array_overflows += dropped - array_dropped_seen_;
@@ -235,42 +235,6 @@ void Tx::begin_top(const void* sp) {
     cfg = global_config();
     tls_cfg_epoch = epoch;
     plan = BarrierPlan::compile(cfg);
-    // A fresh config restarts the adaptive decision sequence from the
-    // policy's start state (matching what compile() just normalized the
-    // kAdaptive tag to), so identical runs of a workload make identical
-    // decisions — the differential suite's bit-identical guarantee rests
-    // on this determinism.
-    adapt.reset();
-    adapt_kind_ = AllocLogKind::kArray;
-  }
-  if (cfg.alloc_log == AllocLogKind::kAdaptive &&
-      checks_alloc_log(cfg.barriers)) {
-    // Online re-specialization: feed the policy this thread's cumulative
-    // profile, and if its structure choice moved, recompile the plan with
-    // the concrete kind substituted. Confined to begin_top: the barriers
-    // keep dispatching on the compiled plan, zero extra branches per
-    // access. Switching is safe mid-run because every structure is
-    // conservative (false negatives only) and the outgoing log was cleared
-    // when its last transaction ended.
-    AdaptiveSample s;
-    s.allocs = stats.tx_allocs;
-    s.probes = stats.reads + stats.writes;
-    s.array_overflows = stats.array_overflows;
-    s.filter_words = filter_log_ ? filter_log_->words_marked() : 0;
-    const AllocLogKind k = adapt.on_begin(s);
-    switch (k) {
-      case AllocLogKind::kTree: ++stats.adaptive_txs_tree; break;
-      case AllocLogKind::kArray: ++stats.adaptive_txs_array; break;
-      case AllocLogKind::kFilter: ++stats.adaptive_txs_filter; break;
-      case AllocLogKind::kAdaptive: break;  // policy never returns the tag
-    }
-    if (k != adapt_kind_) {
-      adapt_kind_ = k;
-      ++stats.adaptive_switches;
-      TxConfig concrete = cfg;
-      concrete.alloc_log = k;
-      plan = BarrierPlan::compile(concrete);
-    }
   }
   flush_quarantine(/*force=*/false);
   start_ts = global_clock().load();
@@ -341,12 +305,15 @@ void Tx::commit_top() {
   consecutive_aborts = 0;
 }
 
-void Tx::rollback_top() {
+void Tx::rollback_to(const LevelMark& m) {
   // Roll back memory, release ownership, undo allocations, in that order:
   // undo entries may point into blocks about to be returned to the pool.
-  // Undo entries into the transaction's own (now possibly dead) stack
-  // window are skipped — see UndoLog::rollback.
-  //
+  // Undo entries into the rolled-back level's own (now possibly dead) stack
+  // window [stack_low, level_sp) are skipped — see UndoLog::rollback. For a
+  // nested level, locals of enclosing levels (between level_sp and the
+  // top-level start_sp) are live-in and must be restored (Section 2.2.1).
+  undo.rollback(m.undo, stack_low,
+                reinterpret_cast<std::uintptr_t>(m.level_sp));
   // Released records get a *fresh* clock version, not their pre-lock one:
   // restoring the old word would let a reader whose two orec samples
   // straddle our whole lock/dirty-write/rollback/release cycle accept a
@@ -354,39 +321,6 @@ void Tx::rollback_top() {
   // occasionally spurious, never unsafe. Batched-clock note: stamps are
   // globally unique and discarded ranges are never reused (gclock.hpp
   // invariant (3)), so the freshness argument survives batching.
-  undo.rollback(0, stack_low, frame.stack_begin);
-  if (!ws.empty()) {
-    const std::uint64_t av = orec::make_version(stamp_and_count(*this).ts);
-    for (std::size_t i = ws.size(); i-- > 0;) {
-      ws[i].rec->store(av, std::memory_order_release);
-    }
-  }
-  for (std::size_t i = alloc.allocs.size(); i-- > 0;) {
-    Pool::deallocate(alloc.allocs[i].ptr);
-  }
-  // Deferred frees are dropped: the transaction did not happen.
-  reset_logs();
-  depth = 0;
-  active_since.store(kIdleEpoch, std::memory_order_release);
-}
-
-void Tx::abort_self() {
-  rollback_top();
-  ++stats.aborts;
-  ++consecutive_aborts;
-  throw TxAbortException{};
-}
-
-void Tx::cancel() { rollback_top(); }
-
-void Tx::abort_nested() {
-  const LevelMark m = levels.back();
-  levels.pop_back();
-  // Skip only the aborted level's dead stack window; locals of enclosing
-  // levels (between level_sp and start_sp) are live-in for this child and
-  // must be restored (Section 2.2.1).
-  undo.rollback(m.undo, stack_low,
-                reinterpret_cast<std::uintptr_t>(m.level_sp));
   if (ws.size() > m.ws) {
     const std::uint64_t av = orec::make_version(stamp_and_count(*this).ts);
     for (std::size_t i = ws.size(); i-- > m.ws;) {
@@ -411,7 +345,7 @@ void Tx::abort_nested() {
   }
   ws.truncate(m.ws);
   rs.truncate(m.rs);
-  // Undo frees performed in the aborted level on blocks allocated by an
+  // Undo frees performed in the rolled-back level on blocks allocated by an
   // ancestor: restore their live status (and their capture-log entries).
   for (std::size_t i = freed_events.size(); i-- > m.freed_events;) {
     const std::size_t idx = freed_events[i];
@@ -421,15 +355,16 @@ void Tx::abort_nested() {
     }
   }
   freed_events.resize(m.freed_events);
-  // Undo allocations performed in the aborted level.
+  // Undo allocations performed in the rolled-back level.
   for (std::size_t i = alloc.allocs.size(); i-- > m.allocs;) {
     const AllocRecord& r = alloc.allocs[i];
     if (!r.freed_in_tx) alloc_log_erase(r.ptr, r.size);
     Pool::deallocate(r.ptr);
   }
   alloc.allocs.resize(m.allocs);
+  // Deferred frees are dropped: the level did not happen.
   alloc.deferred_frees.resize(m.frees);
-  // Durable mode: drop the aborted level's redo entries and unwind its
+  // Durable mode: drop the level's redo entries and unwind its
   // durable-region allocations (the bump cursor itself was restored by the
   // undo rollback above — it is ordinary transactional data).
   dlog.truncate(m.dlog);
@@ -437,6 +372,27 @@ void Tx::abort_nested() {
     alloc_log_erase(durable_allocs[i].ptr, durable_allocs[i].size);
   }
   durable_allocs.resize(m.dallocs);
+}
+
+void Tx::cancel() {
+  rollback_to(LevelMark{0, 0, 0, 0, 0, 0, 0, 0,
+                        reinterpret_cast<const void*>(frame.stack_begin)});
+  reset_logs();
+  depth = 0;
+  active_since.store(kIdleEpoch, std::memory_order_release);
+}
+
+void Tx::abort_self() {
+  cancel();
+  ++stats.aborts;
+  ++consecutive_aborts;
+  throw TxAbortException{};
+}
+
+void Tx::abort_nested() {
+  const LevelMark m = levels.back();
+  levels.pop_back();
+  rollback_to(m);
   --depth;
   ++stats.nested_partial_aborts;
 }

@@ -18,6 +18,7 @@
 #include "capture/filter_log.hpp"
 #include "capture/private_registry.hpp"
 #include "capture/tree_log.hpp"
+#include "stm/stm.hpp"
 #include "support/random.hpp"
 
 namespace cstm {
@@ -385,8 +386,8 @@ TEST(FilterLog, LargeBlockInsertionCapIsConservative) {
 }
 
 // ---------------------------------------------------------------------------
-// Filter occupancy across the epoch-reset path (regression: the adaptive
-// policy and stats read these, and both used to lie after clear()).
+// Filter occupancy across the epoch-reset path (regression: occupancy and
+// entries() used to lie after clear()).
 // ---------------------------------------------------------------------------
 
 TEST(FilterLog, OccupancyResetsWithEpochClear) {
@@ -432,20 +433,9 @@ TEST(FilterLog, OccupancyBoundedByTableUnderCollisions) {
   EXPECT_GT(log.occupancy(), 0u);
 }
 
-TEST(FilterLog, WordsMarkedAccumulatesAcrossEpochs) {
-  FilterAllocLog log;
-  log.insert(ptr(0x10000), 64);  // 8 words
-  EXPECT_EQ(log.words_marked(), 8u);
-  log.clear();
-  log.insert(ptr(0x10000), 64);
-  // Cumulative by design: the adaptive policy reads per-epoch deltas of
-  // marking pressure, which an epoch reset must not erase.
-  EXPECT_EQ(log.words_marked(), 16u);
-}
-
 // ---------------------------------------------------------------------------
-// Array-log overflow and peak accounting (the adaptive policy's escalation
-// signal).
+// Array-log overflow and peak accounting (what TxStats::array_overflows and
+// capture_overflow_percent() report).
 // ---------------------------------------------------------------------------
 
 TEST(ArrayLog, DroppedSurvivesClearAndPeakTracksHighWater) {
@@ -461,6 +451,28 @@ TEST(ArrayLog, DroppedSurvivesClearAndPeakTracksHighWater) {
   EXPECT_EQ(log.peak(), ArrayAllocLog::kCapacity);
   log.insert(ptr(0x90000), 8);
   EXPECT_EQ(log.dropped(), 1u);
+}
+
+TEST(ArrayLog, OverflowCounterSurfacesInStats) {
+  set_global_config(TxConfig::runtime_rw(AllocLogKind::kArray));
+  atomic([](Tx&) {});  // pick the config up before resetting stats
+  stats_reset();
+  for (int t = 0; t < 10; ++t) {
+    atomic([](Tx& tx) {
+      void* ptrs[12];
+      for (std::size_t i = 0; i < 12; ++i) {
+        ptrs[i] = tx_malloc(tx, 64);
+        tm_write(tx, static_cast<std::uint64_t*>(ptrs[i]), std::uint64_t{i});
+      }
+      for (void* p : ptrs) tx_free(tx, p);
+    });
+  }
+  const TxStats s = stats_snapshot();
+  set_global_config(TxConfig::baseline());
+  // 12 allocs/tx against capacity 4: 8 drops per transaction.
+  EXPECT_EQ(s.array_overflows, 10u * 8u);
+  EXPECT_GT(s.tx_allocs, 0u);
+  EXPECT_NEAR(s.capture_overflow_percent(), 100.0 * 80.0 / 120.0, 0.01);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 // Barrier elision — static, runtime, or none — may change SPEED, never
 // OUTCOMES. This suite runs one randomized container+malloc workload to a
 // fixed seed under EVERY barrier preset (full / static / stack+heap+priv
-// and heap-only across all three alloc-log structures / counting / the
-// online-adaptive structure selector), plus a durable-mode cross (redo
-// logging + flush accounting riding commit), and asserts bit-identical
-// final state and identical commit counts across all of them.
+// and heap-only across all three alloc-log structures / counting), plus a
+// durable-mode cross (redo logging + flush accounting riding commit), and
+// asserts bit-identical final state and identical commit counts across all
+// of them.
 //
 // The workload is single-threaded on purpose: with no conflicts the
 // execution is fully deterministic, so any digest divergence is a real
@@ -52,13 +52,6 @@ std::vector<std::pair<std::string, TxConfig>> all_presets() {
       {"heap_w_array", TxConfig::runtime_heap_w(AllocLogKind::kArray)},
       {"heap_w_filter", TxConfig::runtime_heap_w(AllocLogKind::kFilter)},
       {"counting", TxConfig::counting()},
-      // Online-adaptive structure selection: the policy may re-specialize
-      // the plan mid-run (array → filter → tree → back), so these presets
-      // assert that SWITCHING structures between transactions — not just
-      // picking one — never changes outcomes.
-      {"rw_adaptive", TxConfig::runtime_rw(AllocLogKind::kAdaptive)},
-      {"w_adaptive", TxConfig::runtime_w(AllocLogKind::kAdaptive)},
-      {"heap_w_adaptive", TxConfig::runtime_heap_w(AllocLogKind::kAdaptive)},
   };
   // Durable mode: the redo-log serialization + flush leg rides commit and
   // may change PERSISTENCE only, never outcomes. No heap is active in this
@@ -293,10 +286,12 @@ TEST(Differential, BatchedExecutionMatchesUnbatchedExactly) {
       {"full", TxConfig::baseline()},
       {"rw_tree", TxConfig::runtime_rw(AllocLogKind::kTree)},
       {"static", TxConfig::compiler()},
-      // Merged batches are the workload adaptive selection exists for (the
-      // batch-size hint pre-escalates off the array); the digest and exact
-      // commit counts must not notice any of it.
-      {"rw_adaptive", TxConfig::runtime_rw(AllocLogKind::kAdaptive)},
+      // A merged batch's allocations are the sum of its sub-ops': the
+      // one-line array log overflows at batch 64 (conservative misses) and
+      // the filter marks every word. Neither may change the digest or the
+      // exact commit counts.
+      {"rw_array", TxConfig::runtime_rw(AllocLogKind::kArray)},
+      {"rw_filter", TxConfig::runtime_rw(AllocLogKind::kFilter)},
   };
   for (const auto& [name, cfg] : cfgs) {
     const RunOutcome ref = run_workload(cfg);

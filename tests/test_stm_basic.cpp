@@ -55,25 +55,10 @@ static_assert(kCounting.read == BarrierPath::kCounting &&
               kCounting.write == BarrierPath::kCounting &&
               kCounting.log == ActiveLog::kTree);
 
-// The kAdaptive tag never reaches a barrier: compiling an unresolved
-// adaptive config yields the policy's start state — the fully specialized
-// ARRAY path, not some new adaptive dispatch.
-constexpr BarrierPlan kAdaptiveStart =
-    BarrierPlan::compile(TxConfig::runtime_heap_w(AllocLogKind::kAdaptive));
-static_assert(kAdaptiveStart.read == BarrierPath::kFull &&
-              kAdaptiveStart.write == BarrierPath::kHeapArray &&
-              kAdaptiveStart.log == ActiveLog::kArray);
-
-constexpr BarrierPlan kAdaptiveRw = BarrierPlan::compile(TxConfig::adaptive());
-static_assert(kAdaptiveRw.read == BarrierPath::kStackHeapPrivArray &&
-              kAdaptiveRw.write == BarrierPath::kStackHeapPrivArray &&
-              kAdaptiveRw.log == ActiveLog::kArray);
-
 // The whole config space: every Barriers value crossed with every
 // AllocLogKind compiles to a specialized path. Presets without a heap check
 // ignore alloc_log; counting always classifies with the tree; the runtime
-// presets pick the family member (and the active log) for the concrete
-// kind, kAdaptive resolving to the policy's array start state.
+// presets pick the family member (and the active log) for the kind.
 struct LogRow {
   AllocLogKind kind;
   BarrierPath stack_heap_priv;
@@ -111,9 +96,6 @@ static_assert(every_barriers_value_specialized(
 static_assert(every_barriers_value_specialized(
     {AllocLogKind::kFilter, BarrierPath::kStackHeapPrivFilter,
      BarrierPath::kHeapFilter, ActiveLog::kFilter}));
-static_assert(every_barriers_value_specialized(
-    {AllocLogKind::kAdaptive, BarrierPath::kStackHeapPrivArray,
-     BarrierPath::kHeapArray, ActiveLog::kArray}));
 }  // namespace plan_checks
 
 TEST_F(StmBasic, PlanFollowsConfigChanges) {
