@@ -7,10 +7,9 @@
 #    (optimization configs) and 11(b) (alloc-log structures) at
 #    FIG11_THREADS threads, merged into one JSON object.
 #
-# Compare the JSONs across commits to track the perf trajectory. Note the CI
-# box has a single core: multi-thread numbers measure oversubscribed
-# scheduling, not parallel scaling, and are noisy — trust medians and signs,
-# not digits.
+# Compare the JSONs across commits to track the perf trajectory. Thread
+# counts above the machine's core count measure oversubscribed scheduling,
+# not parallel scaling, and are noisy — trust medians and signs, not digits.
 #
 # Usage: scripts/bench_json.sh [scale] [reps]
 #   scale  defaults to 1.0 (approaches paper-size inputs; still seconds-fast)
@@ -22,7 +21,7 @@
 # Environment overrides for the txbatch run (BENCH_txbatch.json — request
 # streams through the merge layer at batch sizes 1/4/16/64):
 #   TXBATCH_THREADS (default 1: the capture curve is a single-thread
-#   property and the CI box has one core), TXBATCH_SCALE (default 4.0 —
+#   property), TXBATCH_SCALE (default 4.0 —
 #   per-cell times of ~0.5 s, above the scheduler-jitter floor the gate
 #   comparison would otherwise drown in), TXBATCH_REPS (default = reps).
 # Environment overrides for the durable run (BENCH_durable.json — durable

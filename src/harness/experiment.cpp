@@ -38,6 +38,18 @@ int positive_int(const char* flag, const char* text) {
   return static_cast<int>(v);
 }
 
+/// Whole-string unsigned integer (bare strtoull would turn "x" into 0 and
+/// wrap "-1" to 2^64 - 1).
+std::uint64_t unsigned_int(const char* flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno != 0) {
+    bad_value(flag, text, "an unsigned integer");
+  }
+  return v;
+}
+
 double positive_double(const char* flag, const char* text) {
   char* end = nullptr;
   errno = 0;
@@ -68,10 +80,10 @@ Options parse_options(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       opt.threads = positive_int("--threads", need_value("--threads"));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      opt.seed = std::strtoull(need_value("--seed"), nullptr, 10);
+      opt.seed = unsigned_int("--seed", need_value("--seed"));
     } else if (std::strcmp(argv[i], "--batch") == 0) {
       opt.batch = static_cast<std::size_t>(
-          std::strtoull(need_value("--batch"), nullptr, 10));
+          positive_int("--batch", need_value("--batch")));
     } else if (std::strcmp(argv[i], "--json") == 0) {
       opt.json = need_value("--json");
     } else if (std::strcmp(argv[i], "--capture-log") == 0) {
@@ -300,8 +312,8 @@ void fig11a_scaling(const Options& opt) {
   // Thread-count sweep for the fig11 contenders: raw seconds (not
   // improvement) per app x config x thread count, so a multi-core box can
   // record BENCH_scaling.json and the gate can compare shapes, not just
-  // endpoints. On the 1-core CI box this only demonstrates the schema —
-  // every "scaling" curve is flat-to-degrading under oversubscription.
+  // endpoints. Thread counts above the machine's core count measure
+  // oversubscribed scheduling, not parallel scaling.
   std::vector<int> counts;
   for (int t = 1; t <= opt.threads; t *= 2) counts.push_back(t);
   if (counts.empty() || counts.back() != opt.threads) {

@@ -28,7 +28,8 @@ struct Options {
 
 /// Parses --scale/--reps/--threads/--seed/--batch/--capture-log/--json;
 /// unknown flags abort with usage, and a non-numeric or out-of-range
-/// --scale (<= 0), --reps or --threads (< 1) exits 2 with a message.
+/// --scale (<= 0), --reps, --threads or --batch (< 1), or a --seed that is
+/// not a whole unsigned integer exits 2 with a message.
 Options parse_options(int argc, char** argv);
 
 struct RunResult {

@@ -52,11 +52,6 @@ class Tx {
   unsigned depth = 0;
   unsigned consecutive_aborts = 0;
 
-  /// This thread's unconsumed slice of reserved commit timestamps
-  /// (gclock.hpp). Survives across transactions — that is the whole point
-  /// of batching.
-  ClockReservation tclock;
-
   TxLog<ReadEntry> rs;
   TxLog<OwnedOrec> ws;
   UndoLog undo;

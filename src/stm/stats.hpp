@@ -5,89 +5,86 @@
 
 namespace cstm {
 
+// Every TxStats counter, listed once: X(name) per field, in declaration
+// order. The struct's members and add() are generated from this table, so a
+// new counter cannot drop out of aggregation. (Block comments only: a `//`
+// comment would swallow the line continuation.)
+#define CSTM_TX_STATS(X)                                                   \
+  /* Outcomes. */                                                          \
+  X(commits)                                                               \
+  X(aborts)                                                                \
+  /* Barrier invocations (every instrumented access). */                   \
+  X(reads)                                                                 \
+  X(writes)                                                                \
+  /* Elisions by mechanism. */                                             \
+  X(read_elided_stack)                                                     \
+  X(read_elided_heap)                                                      \
+  X(read_elided_private)                                                   \
+  X(read_elided_static)                                                    \
+  X(write_elided_stack)                                                    \
+  X(write_elided_heap)                                                     \
+  X(write_elided_private)                                                  \
+  X(write_elided_static)                                                   \
+  /* Fast path: write to an ownership record already held by this          \
+     transaction (the cheap write-after-write check the paper credits for  \
+     yada's baseline). */                                                  \
+  X(write_own_fast)                                                        \
+  /* Fig. 8 classification (count_mode only). Categories are mutually      \
+     exclusive and checked in the paper's order: tx-local heap, tx-local   \
+     stack, otherwise manual => required, else not-required-other. */      \
+  X(read_cap_heap)                                                         \
+  X(read_cap_stack)                                                        \
+  X(read_not_required)                                                     \
+  X(read_required)                                                         \
+  X(write_cap_heap)                                                        \
+  X(write_cap_stack)                                                       \
+  X(write_not_required)                                                    \
+  X(write_required)                                                        \
+  /* Transactional allocator traffic. */                                   \
+  X(tx_allocs)                                                             \
+  X(tx_frees)                                                              \
+  /* Allocations the inline array log could not track (ArrayAllocLog's     \
+     dropped counter, sampled per transaction at reset). Each one is a     \
+     conservative miss: the block's accesses pay full barriers. */         \
+  X(array_overflows)                                                       \
+  /* Clock traffic (gclock.hpp): shared-clock fetch_adds, one per stamp;   \
+     stale discards, which the one-counter clock never makes (always 0,    \
+     kept for the benchmark's stats schema); and lazy read-set             \
+     revalidations (Tx::extend) against the clock. */                      \
+  X(clock_reservations)                                                    \
+  X(clock_stale_discards)                                                  \
+  X(lazy_revalidations)                                                    \
+  /* Self-aborts on a lock conflict, decided by the backoff contention     \
+     policy (user aborts and validation failures are not counted here). */ \
+  X(cm_aborts_backoff)                                                     \
+  /* Nested partial aborts (Tx::abort_nested): closed-nested levels rolled \
+     back individually, whatever triggered them (user abort_tx, txbatch    \
+     sub-op compensation). */                                              \
+  X(nested_partial_aborts)                                                 \
+  /* txbatch merge layer (src/txbatch/batcher.hpp): outer merged           \
+     transactions committed, sub-ops executed inside them, and sub-ops     \
+     rolled back by the per-op compensation path (requeued or failed       \
+     without touching their siblings). */                                  \
+  X(batch_flushes)                                                         \
+  X(batch_ops)                                                             \
+  X(batch_op_compensations)                                                \
+  /* Durable mode (src/durable/). Logged stores are the non-captured       \
+     writes that earned a redo entry; pwbs/pfences count the commit        \
+     protocol's persistence traffic (simulated or real, same call sites);  \
+     captured writebacks are blocks from DurableHeap::alloc persisted      \
+     wholesale instead of entry-by-entry. */                               \
+  X(durable_commits)                                                       \
+  X(durable_stores_logged)                                                 \
+  X(durable_pwbs)                                                          \
+  X(durable_pfences)                                                       \
+  X(durable_log_bytes)                                                     \
+  X(durable_captured_writebacks)                                           \
+  X(durable_allocs)
+
 struct TxStats {
-  // Outcomes.
-  std::uint64_t commits = 0;
-  std::uint64_t aborts = 0;
-
-  // Barrier invocations (every instrumented access).
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-
-  // Elisions by mechanism.
-  std::uint64_t read_elided_stack = 0;
-  std::uint64_t read_elided_heap = 0;
-  std::uint64_t read_elided_private = 0;
-  std::uint64_t read_elided_static = 0;
-  std::uint64_t write_elided_stack = 0;
-  std::uint64_t write_elided_heap = 0;
-  std::uint64_t write_elided_private = 0;
-  std::uint64_t write_elided_static = 0;
-
-  // Fast path: write to an ownership record already held by this
-  // transaction (the cheap write-after-write check the paper credits for
-  // yada's baseline).
-  std::uint64_t write_own_fast = 0;
-
-  // Fig. 8 classification (count_mode only). Categories are mutually
-  // exclusive and checked in the paper's order: tx-local heap, tx-local
-  // stack, otherwise manual => required, else not-required-other.
-  std::uint64_t read_cap_heap = 0;
-  std::uint64_t read_cap_stack = 0;
-  std::uint64_t read_not_required = 0;
-  std::uint64_t read_required = 0;
-  std::uint64_t write_cap_heap = 0;
-  std::uint64_t write_cap_stack = 0;
-  std::uint64_t write_not_required = 0;
-  std::uint64_t write_required = 0;
-
-  // Transactional allocator traffic.
-  std::uint64_t tx_allocs = 0;
-  std::uint64_t tx_frees = 0;
-
-  // Allocations the inline array log could not track (ArrayAllocLog's
-  // dropped counter, sampled per transaction at reset). Each one is a
-  // conservative miss: the block's accesses pay full barriers. Before this
-  // counter an overflowing array silently degraded capture-hit% with zero
-  // observability.
-  std::uint64_t array_overflows = 0;
-
-  // Epoch-batched clock traffic (gclock.hpp): shared-counter range
-  // reservations, stale ranges discarded without stamping, and lazy
-  // read-set revalidations (Tx::extend) against the published epoch.
-  std::uint64_t clock_reservations = 0;
-  std::uint64_t clock_stale_discards = 0;
-  std::uint64_t lazy_revalidations = 0;
-
-  // Self-aborts on a lock conflict, decided by the backoff contention
-  // policy (user aborts and validation failures are not counted here).
-  std::uint64_t cm_aborts_backoff = 0;
-
-  // Nested partial aborts (Tx::abort_nested): closed-nested levels rolled
-  // back individually, whatever triggered them (user abort_tx, txbatch
-  // sub-op compensation).
-  std::uint64_t nested_partial_aborts = 0;
-
-  // txbatch merge layer (src/txbatch/batcher.hpp): outer merged
-  // transactions committed, sub-ops executed inside them, and sub-ops
-  // rolled back by the per-op compensation path (requeued or failed
-  // without touching their siblings).
-  std::uint64_t batch_flushes = 0;
-  std::uint64_t batch_ops = 0;
-  std::uint64_t batch_op_compensations = 0;
-
-  // Durable mode (src/durable/). Logged stores are the non-captured writes
-  // that earned a redo entry; pwbs/pfences count the commit protocol's
-  // persistence traffic (simulated or real, same call sites); captured
-  // writebacks are blocks from DurableHeap::alloc persisted wholesale
-  // instead of entry-by-entry.
-  std::uint64_t durable_commits = 0;
-  std::uint64_t durable_stores_logged = 0;
-  std::uint64_t durable_pwbs = 0;
-  std::uint64_t durable_pfences = 0;
-  std::uint64_t durable_log_bytes = 0;
-  std::uint64_t durable_captured_writebacks = 0;
-  std::uint64_t durable_allocs = 0;
+#define CSTM_TX_STATS_MEMBER(name) std::uint64_t name = 0;
+  CSTM_TX_STATS(CSTM_TX_STATS_MEMBER)
+#undef CSTM_TX_STATS_MEMBER
 
   std::uint64_t read_elided() const {
     return read_elided_stack + read_elided_heap + read_elided_private +
@@ -152,45 +149,9 @@ struct TxStats {
   }
 
   void add(const TxStats& o) {
-    commits += o.commits;
-    aborts += o.aborts;
-    reads += o.reads;
-    writes += o.writes;
-    read_elided_stack += o.read_elided_stack;
-    read_elided_heap += o.read_elided_heap;
-    read_elided_private += o.read_elided_private;
-    read_elided_static += o.read_elided_static;
-    write_elided_stack += o.write_elided_stack;
-    write_elided_heap += o.write_elided_heap;
-    write_elided_private += o.write_elided_private;
-    write_elided_static += o.write_elided_static;
-    write_own_fast += o.write_own_fast;
-    read_cap_heap += o.read_cap_heap;
-    read_cap_stack += o.read_cap_stack;
-    read_not_required += o.read_not_required;
-    read_required += o.read_required;
-    write_cap_heap += o.write_cap_heap;
-    write_cap_stack += o.write_cap_stack;
-    write_not_required += o.write_not_required;
-    write_required += o.write_required;
-    tx_allocs += o.tx_allocs;
-    tx_frees += o.tx_frees;
-    array_overflows += o.array_overflows;
-    clock_reservations += o.clock_reservations;
-    clock_stale_discards += o.clock_stale_discards;
-    lazy_revalidations += o.lazy_revalidations;
-    cm_aborts_backoff += o.cm_aborts_backoff;
-    nested_partial_aborts += o.nested_partial_aborts;
-    batch_flushes += o.batch_flushes;
-    batch_ops += o.batch_ops;
-    batch_op_compensations += o.batch_op_compensations;
-    durable_commits += o.durable_commits;
-    durable_stores_logged += o.durable_stores_logged;
-    durable_pwbs += o.durable_pwbs;
-    durable_pfences += o.durable_pfences;
-    durable_log_bytes += o.durable_log_bytes;
-    durable_captured_writebacks += o.durable_captured_writebacks;
-    durable_allocs += o.durable_allocs;
+#define CSTM_TX_STATS_ADD(name) name += o.name;
+    CSTM_TX_STATS(CSTM_TX_STATS_ADD)
+#undef CSTM_TX_STATS_ADD
   }
 
   void reset() { *this = TxStats{}; }

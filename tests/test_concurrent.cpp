@@ -144,7 +144,9 @@ TEST_P(StressAllConfigs, MapConcurrentInsertEraseFind) {
         std::uint64_t v = 0;
         bool found = false;
         atomic([&](Tx& tx) { found = map.find(tx, key, &v); });
-        if (found) EXPECT_EQ(v, key * 2);
+        if (found) {
+          EXPECT_EQ(v, key * 2);
+        }
       }
     }
     net.fetch_add(local);
@@ -268,9 +270,9 @@ namespace {
 
 /// Body of the torn-observer opacity check: an elided writer publishes
 /// two-field nodes, read-only observers must never see the fields
-/// disagree. Readers snapshot from the lazily published clock epoch and
-/// the writer stamps from reserved ranges, so the publish-before-release
-/// invariant (gclock.hpp) is exercised here too.
+/// disagree. Readers snapshot the global clock while the writer stamps it,
+/// so the publish-before-release argument (gclock.hpp) is exercised here
+/// too.
 void expect_no_torn_observations(const TxConfig& cfg) {
   struct Node {
     std::uint64_t a;
@@ -304,8 +306,8 @@ void expect_no_torn_observations(const TxConfig& cfg) {
     });
   }
   // Publish at least 20000 nodes, then keep going until the observers
-  // have demonstrably raced with us (the CI box has one core, so the
-  // readers may only get scheduled once the writer yields).
+  // have demonstrably raced with us (on a machine with fewer cores than
+  // threads the readers may only get scheduled once the writer yields).
   for (std::uint64_t i = 1; i <= 2000000; ++i) {
     atomic([&](Tx& tx) {
       Node* fresh = static_cast<Node*>(tx_malloc(tx, sizeof(Node)));

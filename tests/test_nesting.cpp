@@ -143,7 +143,7 @@ TEST_F(Nesting, ConflictAbortInsideNestedRetriesWholeTransaction) {
   // top; the nested structure re-executes.
   std::uint64_t attempts = 0;
   std::uint64_t x = 0;
-  atomic([&](Tx& tx) {
+  atomic([&](Tx&) {
     ++attempts;
     atomic([&](Tx& inner) { tm_write(inner, &x, attempts); });
   });

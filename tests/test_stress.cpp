@@ -1,10 +1,10 @@
 // High-thread correctness torture tier (ctest label: stress).
 //
-// On this 1-core CI box the scalability work — epoch-batched clock,
-// striped orecs, backoff under oversubscription — cannot be gated on
-// throughput, so it is gated on correctness under heavy oversubscription
-// instead: 16 and 32 threads hammering shared containers, under release,
-// ASan, and TSan.
+// Throughput depends on the runner's core count, so the scalability work —
+// global clock, striped orecs, backoff under oversubscription — is not
+// gated on it; it is gated on correctness under heavy oversubscription
+// instead: 16 and 32 threads (several per core on any CI runner) hammering
+// shared containers, under release, ASan, and TSan.
 //
 // The workload is designed so its FINAL STATE is interleaving-independent
 // and therefore identical across thread counts:
