@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "capture/array_log.hpp"
 #include "stm/stm.hpp"
 
 namespace {
@@ -51,22 +52,63 @@ void BM_FullWriteBarrier(benchmark::State& state) {
 }
 BENCHMARK(BM_FullWriteBarrier);
 
-// A runtime check that always misses: the pure overhead kmeans pays.
+// A runtime check that always misses: the pure overhead kmeans pays. Each
+// transaction first allocates a few live blocks, so every check fails
+// against a populated log (as perfbench's read_miss probe does) rather than
+// an empty one, and the accesses walk the data with an odd stride read from
+// a volatile, so no check can be hoisted out of the loop.
+constexpr std::size_t kLiveBlocks = ArrayAllocLog::kCapacity;
+volatile std::size_t g_stride = 1031;
+
+void alloc_live_blocks(Tx& tx, void* (&blocks)[kLiveBlocks]) {
+  for (void*& b : blocks) b = tx_malloc(tx, 64);
+}
+
+void free_live_blocks(Tx& tx, void* (&blocks)[kLiveBlocks]) {
+  for (void* b : blocks) tx_free(tx, b);
+}
+
 void BM_WriteBarrier_FailedRuntimeCheck(benchmark::State& state) {
-  TxConfig cfg = TxConfig::runtime_rw(
-      static_cast<AllocLogKind>(state.range(0)));
-  set_global_config(cfg);
+  set_global_config(TxConfig::runtime_rw(
+      static_cast<AllocLogKind>(state.range(0))));
   std::vector<std::uint64_t> data(1024, 1);
+  const std::size_t stride = g_stride;
   for (auto _ : state) {
     atomic([&](Tx& tx) {
+      void* blocks[kLiveBlocks];
+      alloc_live_blocks(tx, blocks);
       for (std::size_t i = 0; i < data.size(); ++i) {
-        tm_write(tx, &data[i], i, kAutoSite);
+        tm_write(tx, &data[(i * stride) & 1023], i, kAutoSite);
       }
+      free_live_blocks(tx, blocks);
     });
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_WriteBarrier_FailedRuntimeCheck)->Arg(0)->Arg(1)->Arg(2);
+
+// Read side of the failed check: stack, heap-log and registry checks all
+// miss, then the full read barrier runs.
+void BM_ReadBarrier_FailedRuntimeCheck(benchmark::State& state) {
+  set_global_config(TxConfig::runtime_rw(
+      static_cast<AllocLogKind>(state.range(0))));
+  std::vector<std::uint64_t> data(1024, 1);
+  const std::size_t stride = g_stride;
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    atomic([&](Tx& tx) {
+      void* blocks[kLiveBlocks];
+      alloc_live_blocks(tx, blocks);
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        sink += tm_read(tx, &data[(i * stride) & 1023], kAutoSite);
+      }
+      free_live_blocks(tx, blocks);
+    });
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_ReadBarrier_FailedRuntimeCheck)->Arg(0)->Arg(1)->Arg(2);
 
 // A runtime check that always hits: captured heap writes.
 void BM_WriteBarrier_ElidedHeap(benchmark::State& state) {

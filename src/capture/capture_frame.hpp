@@ -16,9 +16,11 @@
 //
 // Which of these fields matter for a given transaction is decided once at
 // begin_top by the barrier plan (stm/barrier_plan.hpp); the specialized
-// fast paths then read the frame with zero indirect calls. The tree log's
-// membership test stays an out-of-line direct call (it walks an AVL tree);
-// array and filter membership inline completely.
+// fast paths then read the frame with zero indirect calls. Array and filter
+// membership inline completely. The tree log and the private registry both
+// inline their envelope test (two compares against the bounding range of
+// their live blocks), so a miss outside it costs no call; only an access
+// inside the envelope makes the out-of-line direct call into the AVL walk.
 #pragma once
 
 #include <cstddef>
@@ -67,7 +69,7 @@ struct alignas(kCacheLineSize) CaptureFrame {
   }
 
   bool tree_contains(const void* addr, std::size_t n) const {
-    return tree->contains(addr, n);  // direct call, O(log n) AVL walk
+    return tree->contains(addr, n);  // inline envelope, then the AVL walk
   }
   bool array_contains(const void* addr, std::size_t n) const {
     return array.contains(addr, n);  // one-line scan, fully inlined

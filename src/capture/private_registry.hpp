@@ -4,7 +4,9 @@
 // access the ranges directly. Unlike the per-transaction allocation log the
 // registry persists across transactions — it is only modified by the
 // annotation APIs. Incorrect annotations can introduce data races, exactly
-// as the paper warns.
+// as the paper warns. It is a TreeAllocLog, so a barrier whose access falls
+// outside the bounding range of the annotated blocks fails the registry
+// check with the tree's inline envelope test, without a call.
 #pragma once
 
 #include <cstddef>

@@ -70,18 +70,21 @@ std::int32_t TreeAllocLog::rebalance(std::int32_t n) {
 }
 
 std::int32_t TreeAllocLog::insert_rec(std::int32_t n, std::uintptr_t begin,
-                                      std::uintptr_t end) {
-  if (n == kNil) return alloc_node(begin, end);
+                                      std::uintptr_t end, bool& added) {
+  if (n == kNil) {
+    added = true;
+    return alloc_node(begin, end);
+  }
   Node& node = nodes_[static_cast<std::size_t>(n)];
   if (begin < node.begin) {
-    const std::int32_t child = insert_rec(node.left, begin, end);
+    const std::int32_t child = insert_rec(node.left, begin, end, added);
     nodes_[static_cast<std::size_t>(n)].left = child;
   } else if (begin > node.begin) {
-    const std::int32_t child = insert_rec(node.right, begin, end);
+    const std::int32_t child = insert_rec(node.right, begin, end, added);
     nodes_[static_cast<std::size_t>(n)].right = child;
   } else {
     // Same base re-inserted (allocator reuse after an erase the caller
-    // skipped): keep the wider extent, stay conservative about count.
+    // skipped): keep the wider extent in the existing node; no node added.
     node.end = std::max(node.end, end);
     return n;
   }
@@ -131,18 +134,21 @@ std::int32_t TreeAllocLog::erase_rec(std::int32_t n, std::uintptr_t begin,
 void TreeAllocLog::insert(const void* addr, std::size_t size) {
   if (size == 0) return;
   const auto begin = reinterpret_cast<std::uintptr_t>(addr);
-  root_ = insert_rec(root_, begin, begin + size);
-  ++count_;
+  bool added = false;
+  root_ = insert_rec(root_, begin, begin + size, added);
+  if (added) ++count_;
+  lo_ = std::min(lo_, begin);
+  hi_ = std::max(hi_, begin + size);
 }
 
 void TreeAllocLog::erase(const void* addr, std::size_t /*size*/) {
   bool erased = false;
   root_ = erase_rec(root_, reinterpret_cast<std::uintptr_t>(addr), erased);
-  if (erased && count_ > 0) --count_;
+  if (erased) --count_;
+  if (root_ == kNil) reset_envelope();
 }
 
-bool TreeAllocLog::contains(const void* addr, std::size_t size) const {
-  const auto a = reinterpret_cast<std::uintptr_t>(addr);
+bool TreeAllocLog::contains_walk(std::uintptr_t a, std::size_t size) const {
   // Floor search: greatest begin <= a.
   std::int32_t cur = root_;
   std::int32_t best = kNil;
@@ -165,6 +171,7 @@ void TreeAllocLog::clear() {
   free_list_.clear();
   root_ = kNil;
   count_ = 0;
+  reset_envelope();
 }
 
 int TreeAllocLog::height() const { return node_height(root_); }

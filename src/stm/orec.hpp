@@ -30,7 +30,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "support/cacheline.hpp"
 
@@ -77,14 +76,6 @@ class OrecTable {
                 "stripes must be cache-line aligned");
   static_assert(kStripes * kStripeSlots == kSize, "stripes must tile the table");
 
-  OrecTable() : stripes_(new Stripe[kStripes]) {
-    for (std::size_t s = 0; s < kStripes; ++s) {
-      for (std::size_t i = 0; i < kStripeSlots; ++i) {
-        stripes_[s].slots[i].store(0, std::memory_order_relaxed);
-      }
-    }
-  }
-
   std::atomic<std::uint64_t>& slot(const void* addr) {
     const std::size_t idx = index_of(addr);
     return stripes_[idx / kStripeSlots].slots[idx % kStripeSlots];
@@ -105,10 +96,17 @@ class OrecTable {
   }
 
  private:
-  std::unique_ptr<Stripe[]> stripes_;
+  // Zero-initialized at compile time: every record starts unlocked at
+  // version 0.
+  Stripe stripes_[kStripes]{};
 };
 
-/// The process-wide ownership record table.
-OrecTable& orec_table();
+/// The process-wide ownership record table: 8 MB of zeroed static storage
+/// (.bss), so a barrier reaches it by address with no call and no
+/// initialization guard. `constinit` makes any dynamic initializer a
+/// compile error.
+inline constinit OrecTable g_orec_table;
+
+inline OrecTable& orec_table() { return g_orec_table; }
 
 }  // namespace cstm

@@ -24,11 +24,6 @@ GlobalClock& global_clock() {
   return clock;
 }
 
-OrecTable& orec_table() {
-  static OrecTable table;
-  return table;
-}
-
 namespace {
 
 std::mutex g_config_mutex;

@@ -7,10 +7,13 @@
 
 #include <thread>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "capture/alloc_log.hpp"
@@ -294,6 +297,197 @@ TEST(TreeLog, NodeRecyclingBoundsArena) {
   }
   EXPECT_EQ(log.entries(), 0u);
 }
+
+// Regression: re-inserting a live base only widens the existing node, so it
+// must not count as a second entry.
+TEST(TreeLog, ReinsertSameBaseKeepsCount) {
+  TreeAllocLog log;
+  log.insert(ptr(0x1000), 32);
+  log.insert(ptr(0x1000), 48);
+  EXPECT_EQ(log.entries(), 1u);
+  EXPECT_TRUE(log.contains(ptr(0x1000 + 40), 8));  // the wider extent wins
+  log.erase(ptr(0x1000), 48);
+  EXPECT_EQ(log.entries(), 0u);
+  EXPECT_FALSE(log.contains(ptr(0x1000), 8));
+}
+
+// The envelope is exactly the bounding range of what was inserted since the
+// last clear, and clear (or erasing the last block) empties it.
+TEST(TreeLog, EnvelopeWidensOnInsertAndResetsOnClear) {
+  TreeAllocLog log;
+  EXPECT_GT(log.envelope_lo(), log.envelope_hi());
+  log.insert(ptr(0x2000), 64);
+  log.insert(ptr(0x1000), 16);
+  EXPECT_EQ(log.envelope_lo(), 0x1000u);
+  EXPECT_EQ(log.envelope_hi(), 0x2040u);
+  log.erase(ptr(0x2000), 64);  // never shrinks while blocks remain
+  EXPECT_EQ(log.envelope_hi(), 0x2040u);
+  log.clear();
+  EXPECT_GT(log.envelope_lo(), log.envelope_hi());
+  log.insert(ptr(0x3000), 8);
+  EXPECT_EQ(log.envelope_lo(), 0x3000u);
+  EXPECT_EQ(log.envelope_hi(), 0x3008u);
+  log.erase(ptr(0x3000), 8);
+  EXPECT_GT(log.envelope_lo(), log.envelope_hi());
+}
+
+// The envelope in front of the tree walk is a prefilter only: it must change
+// no verdict. Drive TreeAllocLog and PrivateRegistry (built on it) with a
+// seeded insert/erase/clear stream and compare contains() against a
+// brute-force scan of the live blocks, probing where an envelope bug would
+// show: just outside and just inside both bounds (of the true live range and
+// of the possibly stale envelope), across block ends, in the gaps, and right
+// after the lowest or highest block is erased.
+class EnvelopeVerdict : public ::testing::TestWithParam<std::uint64_t> {};
+
+template <typename Log>
+void check_envelope_changes_no_verdict(std::uint64_t seed, Log& log,
+                                       TreeAllocLog* tree) {
+  Xoshiro256 rng(seed);
+  std::map<std::uintptr_t, std::uintptr_t> live;  // base -> end
+  const auto brute = [&](std::uintptr_t a, std::size_t n) {
+    for (const auto& [begin, end] : live) {
+      if (begin <= a && a + n <= end) return true;
+    }
+    return false;
+  };
+  std::uint64_t queries = 0;
+  const auto probe = [&](std::uintptr_t a, std::size_t n) {
+    ++queries;
+    ASSERT_EQ(log.contains(ptr(a), n), brute(a, n))
+        << "seed " << seed << " at " << std::hex << a << " len " << n;
+  };
+  const auto probe_edges = [&](std::uintptr_t lo, std::uintptr_t hi) {
+    for (std::size_t n : {std::size_t{1}, std::size_t{8}}) {
+      probe(lo - 1, n);
+      probe(lo, n);
+      probe(hi - 8, n);
+      probe(hi, n);
+    }
+  };
+  for (int round = 0; round < 3000; ++round) {
+    const int op = static_cast<int>(rng.below(100));
+    if (op < 45) {
+      // Disjoint blocks: 512-byte slots, sizes 8..512 (a full-size block
+      // touches its neighbour's slot, so block ends abut).
+      const std::uintptr_t base = 0x400000 + rng.below(256) * 512;
+      const std::size_t size = 8 * (1 + rng.below(64));
+      if (live.emplace(base, base + size).second) {
+        if constexpr (std::is_same_v<Log, PrivateRegistry>) {
+          log.add(ptr(base), size);
+        } else {
+          log.insert(ptr(base), size);
+        }
+      }
+    } else if (op < 70 && !live.empty()) {
+      // Erase the lowest or highest block half the time: the envelope goes
+      // stale on that side and only the walk can answer correctly.
+      auto it = live.begin();
+      const int which = static_cast<int>(rng.below(4));
+      if (which == 1) {
+        it = std::prev(live.end());
+      } else if (which >= 2) {
+        std::advance(it, static_cast<long>(rng.below(live.size())));
+      }
+      if constexpr (std::is_same_v<Log, PrivateRegistry>) {
+        log.remove(ptr(it->first), it->second - it->first);
+      } else {
+        log.erase(ptr(it->first), it->second - it->first);
+      }
+      live.erase(it);
+    } else if (op < 72) {
+      log.clear();
+      live.clear();
+    }
+    if (tree != nullptr) {
+      // The envelope is a superset of the live blocks, and empty when no
+      // block is live.
+      if (live.empty()) {
+        ASSERT_GT(tree->envelope_lo(), tree->envelope_hi()) << "seed " << seed;
+      } else {
+        ASSERT_LE(tree->envelope_lo(), live.begin()->first) << "seed " << seed;
+        for (const auto& [begin, end] : live) {
+          ASSERT_GE(tree->envelope_hi(), end) << "seed " << seed;
+        }
+        probe_edges(tree->envelope_lo(), tree->envelope_hi());
+      }
+    }
+    if (!live.empty()) {
+      std::uintptr_t hi = 0;
+      for (const auto& [begin, end] : live) hi = std::max(hi, end);
+      probe_edges(live.begin()->first, hi);
+      // Straddle, touch and overrun the end of a random live block.
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rng.below(live.size())));
+      probe(it->second - 8, 8);
+      probe(it->second - 4, 8);
+      probe(it->second, 8);
+      probe(it->first, static_cast<std::size_t>(it->second - it->first) + 1);
+    }
+    // A random address in the arena, gaps included.
+    probe(0x400000 + rng.below(256 * 512), std::size_t{1} << rng.below(4));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(queries, 30000u);
+}
+
+TEST_P(EnvelopeVerdict, TreeLogMatchesBruteForce) {
+  TreeAllocLog log;
+  check_envelope_changes_no_verdict(GetParam(), log, &log);
+}
+
+TEST_P(EnvelopeVerdict, PrivateRegistryMatchesBruteForce) {
+  PrivateRegistry reg;
+  check_envelope_changes_no_verdict(GetParam(), reg, nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EnvelopeVerdict,
+                         ::testing::Values(1u, 7u, 42u, 2009u, 0xc0ffeeu));
+
+// Transaction level: a block allocated and committed by one transaction is
+// shared memory for the next. Its accesses must take the full barrier under
+// every log (the tree log's envelope must not survive the commit), so a
+// cancel of the second transaction restores the block's old value.
+class CommittedBlockNotCaptured
+    : public ::testing::TestWithParam<AllocLogKind> {};
+
+TEST_P(CommittedBlockNotCaptured, NextTransactionTakesFullBarrier) {
+  set_global_config(TxConfig::runtime_rw(GetParam()));
+  std::uint64_t* shared = nullptr;
+  atomic([&](Tx& tx) {
+    shared = static_cast<std::uint64_t*>(tx_malloc(tx, 8 * sizeof(std::uint64_t)));
+    for (std::uint64_t i = 0; i < 8; ++i) tm_write(tx, &shared[i], i, kAutoSite);
+  });
+  stats_reset();
+  std::uint64_t seen = 0;
+  atomic([&](Tx& tx) {
+    // Fresh blocks keep the log non-empty, so every check on the committed
+    // block is a real miss against a live log, not against an empty one.
+    void* fresh[6];
+    for (void*& p : fresh) p = tx_malloc(tx, 8 * sizeof(std::uint64_t));
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      seen += tm_read(tx, &shared[i], kAutoSite);
+      tm_write(tx, &shared[i], std::uint64_t{100} + i, kAutoSite);
+    }
+    abort_tx();
+  });
+  const TxStats s = stats_snapshot();
+  EXPECT_EQ(seen, 28u);
+  EXPECT_EQ(s.write_elided_heap, 0u);
+  EXPECT_EQ(s.read_elided_heap, 0u);
+  EXPECT_EQ(s.writes, 8u);
+  for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(shared[i], i) << i;
+  atomic([&](Tx& tx) { tx_free(tx, shared); });
+  set_global_config(TxConfig::baseline());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, CommittedBlockNotCaptured,
+                         ::testing::Values(AllocLogKind::kTree,
+                                           AllocLogKind::kArray,
+                                           AllocLogKind::kFilter),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
 
 // ---------------------------------------------------------------------------
 // Array-specific: capacity and overflow behaviour.
