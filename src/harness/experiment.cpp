@@ -471,9 +471,9 @@ void txbatch_stream(const Options& opt) {
   std::printf("# capture-hit%% = accesses hitting captured (tx-local "
               "stack/heap) memory; elided%% = any elision mechanism; "
               "ovf%% = allocations dropped by a full array log\n");
-  std::printf("%-15s %6s %10s %12s %12s %9s %10s %6s %8s %9s %7s\n", "app",
+  std::printf("%-15s %6s %10s %12s %12s %9s %10s %6s %8s %8s %9s %7s\n", "app",
               "batch", "seconds", "requests", "req/s", "cap-hit%", "elided%",
-              "ovf%", "commits", "flushes", "comp");
+              "ovf%", "commits", "aborts", "flushes", "comp");
 
   std::FILE* json = nullptr;
   if (!opt.json.empty()) {
@@ -508,12 +508,13 @@ void txbatch_stream(const Options& opt) {
       std::sort(times.begin(), times.end());
       const double secs = times[times.size() / 2];
       const double rps = secs > 0.0 ? static_cast<double>(requests) / secs : 0.0;
-      std::printf("%-15s %6zu %10.4f %12llu %12.0f %9.1f %10.1f %6.1f %8llu %9llu %7llu\n",
+      std::printf("%-15s %6zu %10.4f %12llu %12.0f %9.1f %10.1f %6.1f %8llu %8llu %9llu %7llu\n",
                   app.c_str(), batch, secs,
                   static_cast<unsigned long long>(requests), rps,
                   stats.capture_hit_percent(), stats.elided_percent(),
                   stats.capture_overflow_percent(),
                   static_cast<unsigned long long>(stats.commits),
+                  static_cast<unsigned long long>(stats.aborts),
                   static_cast<unsigned long long>(stats.batch_flushes),
                   static_cast<unsigned long long>(stats.batch_op_compensations));
       if (json != nullptr) {

@@ -82,6 +82,7 @@ double run_app_stream(App& app, const AppParams& params, std::size_t batch,
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(n));
   std::atomic<bool> not_batchable{false};
+  std::atomic<bool> lost_ops{false};
   for (int tid = 0; tid < n; ++tid) {
     threads.emplace_back([&, tid] {
       std::unique_ptr<RequestSource> source = app.open_request_stream(tid);
@@ -102,6 +103,20 @@ double run_app_stream(App& app, const AppParams& params, std::size_t batch,
         ++replayed;
       }
       batcher.drain();
+      // Exactly once: drain decided every op it was given, none twice.
+      const txbatch::BatcherStats& bs = batcher.stats();
+      if (batcher.pending() != 0 ||
+          bs.ops_committed + bs.ops_failed != bs.ops_enqueued) {
+        std::fprintf(stderr,
+                     "FATAL: %s thread %d: %llu ops enqueued, %llu committed, "
+                     "%llu failed, %zu pending after drain (batch=%zu)\n",
+                     app.name(), tid,
+                     static_cast<unsigned long long>(bs.ops_enqueued),
+                     static_cast<unsigned long long>(bs.ops_committed),
+                     static_cast<unsigned long long>(bs.ops_failed),
+                     batcher.pending(), batch);
+        lost_ops.store(true);
+      }
       total_requests.fetch_add(replayed);
       sync.arrive_and_wait();  // all done
     });
@@ -116,6 +131,7 @@ double run_app_stream(App& app, const AppParams& params, std::size_t batch,
                  app.name());
     std::abort();
   }
+  if (lost_ops.load()) std::abort();
   if (!app.verify()) {
     std::fprintf(stderr,
                  "FATAL: %s failed verification (threads=%d, batch=%zu)\n",

@@ -56,7 +56,7 @@ template <TmValue T>
     const std::uint64_t v2 = rec.load(std::memory_order_acquire);
     if (v1 != v2) continue;  // changed underneath us; retry
     if (orec::version_of(v1) > tx.start_ts) {
-      if (!tx.extend()) tx.abort_self();
+      if (!tx.extend()) tx.on_extend_failure();
       continue;  // timestamp extended; revalidate this orec
     }
     tx.rs.push(ReadEntry{&rec, v1});
@@ -81,7 +81,7 @@ template <TmValue T>
       tx.on_conflict();
     }
     if (orec::version_of(v) > tx.start_ts) {
-      if (!tx.extend()) tx.abort_self();
+      if (!tx.extend()) tx.on_extend_failure();
       continue;
     }
     if (rec.compare_exchange_weak(v, orec::make_lock(&tx),

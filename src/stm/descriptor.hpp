@@ -50,6 +50,9 @@ class Tx {
   std::uint64_t start_ts = 0;
   std::uintptr_t stack_low = 0;  // low bound of this thread's stack
   unsigned depth = 0;
+  /// Conflict aborts of the running top-level transaction: 0 on its first
+  /// attempt, zeroed whenever one ends (commit, cancel, foreign exception).
+  /// Sets the retry backoff and txbatch's shrink-on-retry prefix.
   unsigned consecutive_aborts = 0;
 
   TxLog<ReadEntry> rs;
@@ -176,6 +179,11 @@ class Tx {
   /// policy — abort self; the retry loop backs off before the next attempt.
   [[noreturn]] void on_conflict() {
     ++stats.cm_aborts_backoff;
+    abort_self();
+  }
+  /// Called when extend() finds the read set stale in a barrier.
+  [[noreturn]] void on_extend_failure() {
+    ++stats.aborts_extend;
     abort_self();
   }
   /// Randomized exponential pause before a retry, called from the retry

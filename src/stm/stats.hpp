@@ -54,20 +54,27 @@ namespace cstm {
   X(clock_reservations)                                                    \
   X(clock_stale_discards)                                                  \
   X(lazy_revalidations)                                                    \
-  /* Self-aborts on a lock conflict, decided by the backoff contention     \
-     policy (user aborts and validation failures are not counted here). */ \
+  /* Conflict aborts by cause; the three sum to `aborts`. Self-aborts on  \
+     a lock held by another transaction, decided by the backoff contention \
+     policy; extend() failures in a read or write barrier (the read set    \
+     went stale under a newer version); commit-time validation failures.   \
+     User aborts (abort_tx) are not aborts here. */                        \
   X(cm_aborts_backoff)                                                     \
+  X(aborts_extend)                                                         \
+  X(aborts_validate)                                                       \
   /* Nested partial aborts (Tx::abort_nested): closed-nested levels rolled \
      back individually, whatever triggered them (user abort_tx, txbatch    \
      sub-op compensation). */                                              \
   X(nested_partial_aborts)                                                 \
   /* txbatch merge layer (src/txbatch/batcher.hpp): outer merged           \
-     transactions committed, sub-ops executed inside them, and sub-ops     \
-     rolled back by the per-op compensation path (requeued or failed       \
-     without touching their siblings). */                                  \
+     transactions committed, sub-ops executed inside them, sub-ops rolled  \
+     back by the per-op compensation path (requeued or failed without      \
+     touching their siblings), and sub-ops that ran inside an outer        \
+     attempt which then conflict-aborted (the work a retry repeats). */    \
   X(batch_flushes)                                                         \
   X(batch_ops)                                                             \
   X(batch_op_compensations)                                                \
+  X(batch_ops_reexecuted)                                                  \
   /* Durable mode (src/durable/). Logged stores are the non-captured       \
      writes that earned a redo entry; pwbs/pfences count the commit        \
      protocol's persistence traffic (simulated or real, same call sites);  \

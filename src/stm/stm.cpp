@@ -261,7 +261,10 @@ void Tx::commit_top() {
     // If no stamp was drawn since our begin snapshot (`wv == start_ts + 1`),
     // the read set is trivially still valid; otherwise revalidate before
     // releasing.
-    if (prev != start_ts && !validate()) abort_self();
+    if (prev != start_ts && !validate()) {
+      ++stats.aborts_validate;
+      abort_self();
+    }
     // Durable leg BEFORE the orec releases below: no other transaction may
     // observe post-state that is not yet durably decided. (Durable work
     // with an empty write set cannot exist — every redo entry and every

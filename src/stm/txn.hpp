@@ -47,10 +47,14 @@ template <typename F>
       // Conflict: state already rolled back; back off before the retry.
       tx.after_abort_pause();
     } catch (const TxUserAbort&) {
+      // Ended without commit: zero the abort count here, not in cancel(),
+      // which abort_self() calls before it counts the abort.
       tx.cancel();
+      tx.consecutive_aborts = 0;
       return;
     } catch (...) {
       tx.cancel();
+      tx.consecutive_aborts = 0;
       throw;
     }
   }

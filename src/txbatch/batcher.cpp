@@ -1,5 +1,7 @@
 #include "txbatch/batcher.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -10,6 +12,7 @@ namespace cstm::txbatch {
 
 Batcher::Batcher(BatcherOptions opts) : opts_(std::move(opts)) {
   if (opts_.max_batch == 0) opts_.max_batch = 1;
+  window_ = opts_.max_batch;
 }
 
 bool Batcher::deadline_expired() const {
@@ -50,40 +53,62 @@ std::size_t Batcher::flush() {
   }
   if (!queue_.empty()) oldest_enqueue_ = std::chrono::steady_clock::now();
 
-  // One outer transaction for the whole batch; each op is a closed nested
-  // transaction. `ran` records which ops completed IN THIS ATTEMPT — a
-  // conflict abort of the outer transaction re-enters the body, so the
-  // flags are reset there, not outside. An op whose nested transaction
-  // user-aborts leaves its flag 0: the partial abort already rolled back
-  // exactly its writes (captured memory included, via the nested undo
-  // path), so execution simply proceeds to the next sibling.
+  // Run the pulled ops as a sequence of outer transactions, each a FIFO
+  // prefix of what is left; batch[0, done) is settled. `ran` records which
+  // ops completed IN THE CURRENT ATTEMPT (each attempt clears an op's flag
+  // before running it). An op whose nested transaction user-aborts leaves
+  // its flag 0: the partial abort already rolled back exactly its writes
+  // (captured memory included, via the nested undo path), so execution
+  // simply proceeds to the next sibling.
   std::vector<std::uint8_t> ran(batch.size(), 0);
+  std::size_t done = 0;
+  std::size_t n = 0;  // ops in the current attempt: batch[done, done + n)
   try {
-    atomic([&](Tx& tx) {
-      ran.assign(batch.size(), 0);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        atomic([&, i](Tx& sub) {
-          batch[i]->fn(sub);
-          ran[i] = 1;  // last statement: unreached when the op aborts
-        });
-        (void)tx;
-      }
-    });
+    while (done < batch.size()) {
+      const std::size_t first = std::min(batch.size() - done, window_);
+      unsigned k = 0;           // conflict aborts before the attempt
+      std::size_t started = 0;  // ops the attempt has begun
+      atomic([&](Tx& outer) {
+        // Attempt k runs only the first `first >> k` ops: a conflicted
+        // batch halves until its prefix commits. On a retry, `started`
+        // still holds the ops the conflict-aborted attempt ran.
+        outer.stats.batch_ops_reexecuted += started;
+        k = outer.consecutive_aborts;
+        n = std::max<std::size_t>(
+            1, k < std::numeric_limits<std::size_t>::digits ? first >> k : 0);
+        for (started = 0; started < n;) {
+          const std::size_t i = done + started++;
+          ran[i] = 0;
+          atomic([&, i](Tx& sub) {
+            batch[i]->fn(sub);
+            ran[i] = 1;  // last statement: unreached when the op aborts
+          });
+        }
+      });
+      settle(batch, done, n, ran);
+      resize_window(n, k > 0);
+      done += n;
+    }
   } catch (...) {
-    // A non-transactional exception cancelled the whole outer transaction:
-    // every sibling's effects are gone, so no op may report kCommitted.
-    for (auto& op : batch) {
-      ++op->attempts;
-      op->state = OpState::kFailed;
+    // A non-transactional exception cancelled the current attempt: its
+    // ops' effects are gone, and no undecided op may report kCommitted.
+    // Prefixes that committed before it stay committed.
+    for (std::size_t i = done; i < batch.size(); ++i) {
+      if (i < done + n) ++batch[i]->attempts;
+      batch[i]->state = OpState::kFailed;
       ++stats_.ops_failed;
     }
     throw;
   }
+  return batch.size();
+}
 
-  // The merged transaction committed: settle each op's fate.
+void Batcher::settle(const std::vector<std::shared_ptr<detail::OpRecord>>& batch,
+                     std::size_t from, std::size_t n,
+                     const std::vector<std::uint8_t>& ran) {
   std::uint64_t compensated = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    auto& op = batch[i];
+  for (std::size_t i = from; i < from + n; ++i) {
+    const auto& op = batch[i];
     ++op->attempts;
     if (ran[i]) {
       op->state = OpState::kCommitted;
@@ -107,9 +132,18 @@ std::size_t Batcher::flush() {
   // and per-batch-size capture hit rates from one snapshot.
   Tx& tx = current_tx();
   tx.stats.batch_flushes += 1;
-  tx.stats.batch_ops += batch.size();
+  tx.stats.batch_ops += n;
   tx.stats.batch_op_compensations += compensated;
-  return batch.size();
+}
+
+void Batcher::resize_window(std::size_t committed, bool conflicted) {
+  if (conflicted) {
+    window_ = committed;
+    clean_commits_ = 0;
+  } else if (++clean_commits_ >= window_) {
+    clean_commits_ = 0;
+    if (window_ < opts_.max_batch) ++window_;
+  }
 }
 
 void Batcher::drain() {

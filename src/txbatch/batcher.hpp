@@ -1,23 +1,22 @@
-// txbatch: a transaction merging & batching front-end (ROADMAP direction 1,
-// grounded in "Improving Database Performance by Application-side
-// Transaction Merging").
+// txbatch: a transaction merging & batching front-end, grounded in
+// "Improving Database Performance by Application-side Transaction Merging".
 //
 // Tiny transactions leave the capture-elision machinery idle: they allocate
 // little, so almost every access hits pre-existing shared data and pays a
 // full barrier, and the per-transaction fixed costs (begin_top's plan/log
 // reset, commit_top's clock publication and orec releases) dominate the few
 // useful accesses. The Batcher queues small transactional operations and
-// executes N of them inside ONE outer STM transaction:
+// executes them merged, several inside ONE outer STM transaction:
 //
 //   queue ──policy──▶ [op1 op2 ... opN]  ──▶  atomic(outer) {
 //                                               nested{op1} nested{op2} ...
 //                                             }
 //
-//  * Begin/commit costs are paid once per batch, not once per op.
+//  * Begin/commit costs are paid once per outer transaction, not per op.
 //  * Memory allocated by op i is CAPTURED for every later op in the same
-//    batch — merged transactions allocate more, so a larger fraction of
-//    their footprint goes barrier-free (the paper's Section 3 machinery,
-//    force-multiplied).
+//    outer transaction — merged transactions allocate more, so a larger
+//    fraction of their footprint goes barrier-free (the paper's Section 3
+//    machinery, force-multiplied).
 //  * Per-sub-transaction abort compensation: each op runs as a closed
 //    nested transaction, so an op that aborts for its own reasons (user
 //    retry/cancel via cstm::abort_tx()) is rolled back by the existing
@@ -25,12 +24,29 @@
 //    by the nested undo path — and is requeued or failed INDIVIDUALLY,
 //    without discarding its already-executed siblings' effects.
 //
-// What is NOT compensated per-op: a conflict abort (TxAbortException)
-// rolls back the whole outer transaction and the standard retry loop
-// re-executes the entire batch — ops must therefore be idempotent under
-// re-execution, exactly like any transactional closure. A non-transactional
-// exception escaping an op cancels the whole batch (every queued sibling's
-// effects are discarded), marks all its ops kFailed, and propagates.
+// Merging only pays while it costs no reruns. A conflict abort
+// (TxAbortException) rolls back the whole outer transaction, and every op
+// in it runs again; encounter-time locks are held across all of them, so
+// a large merge conflicts more. A flush therefore runs the ops it pulled
+// as a sequence of outer transactions, each a FIFO prefix of what is left:
+//
+//  * Shrink on retry: attempt k of an outer transaction (k =
+//    Tx::consecutive_aborts) runs only the first max(1, first >> k) ops,
+//    where `first` is its first attempt's size. The prefix that commits is
+//    settled, and the flush goes on with the rest.
+//  * Adaptive window: the first attempt is bounded by a per-Batcher
+//    window, starting at and capped by max_batch. After a conflict the
+//    window becomes the size that finally committed; it grows by one after
+//    `window` consecutive clean commits. A lone thread has no conflict
+//    aborts, so its batches stay whole.
+//
+// Ops must still be idempotent under re-execution, exactly like any
+// transactional closure. Every op a flush pulled is decided (committed,
+// failed or requeued by compensation) when it returns, exactly once and in
+// FIFO order. A non-transactional exception escaping an op cancels the
+// outer transaction it ran in: prefixes committed earlier in the flush
+// stay kCommitted, every undecided op of the flush is marked kFailed, and
+// the exception propagates.
 //
 // Threading contract: a Batcher is a same-thread object. Ops enqueued on
 // one thread execute on that thread, in FIFO order, when a flush runs
@@ -45,6 +61,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <vector>
 
 namespace cstm {
 class Tx;
@@ -56,8 +73,8 @@ namespace cstm::txbatch {
 enum class OpState : std::uint8_t {
   kPending = 0,   // queued, or requeued after a compensated abort
   kCommitted = 1, // ran to completion inside a committed batch
-  kFailed = 2,    // aborted (user abort) with no retry budget left, or the
-                  // whole batch was cancelled by an escaping exception
+  kFailed = 2,    // aborted (user abort) with no retry budget left, or
+                  // its flush was cut short by an escaping exception
 };
 
 /// What a compatibility policy sees about an op. `tag` is caller-assigned
@@ -81,7 +98,7 @@ struct OpRecord {
   std::function<void(Tx&)> fn;
   OpInfo info;
   OpState state = OpState::kPending;
-  unsigned attempts = 0;      // completed batch executions that included it
+  unsigned attempts = 0;      // committed or cancelled outer runs of it
   unsigned retries_left = 0;  // compensated-abort requeue budget
 };
 }  // namespace detail
@@ -96,7 +113,9 @@ class Completion {
   OpState state() const { return rec_ ? rec_->state : OpState::kFailed; }
   bool committed() const { return state() == OpState::kCommitted; }
   bool failed() const { return state() == OpState::kFailed; }
-  /// How many batch executions included this op (>1 after requeues).
+  /// How many outer transactions ran this op and then committed or were
+  /// cancelled (>1 after requeues). Conflict-aborted attempts, which are
+  /// retried, do not count.
   unsigned attempts() const { return rec_ ? rec_->attempts : 0; }
 
  private:
@@ -107,7 +126,9 @@ class Completion {
 };
 
 struct BatcherOptions {
-  /// Flush as soon as this many compatible ops are queued.
+  /// Flush as soon as this many compatible ops are queued, and pull at
+  /// most this many per flush. Also the cap of the adaptive window that
+  /// sizes each outer transaction (see the header comment).
   std::size_t max_batch = 16;
   /// When nonzero: an enqueue that finds the oldest queued op older than
   /// this flushes first (same-thread Batchers have no background timer, so
@@ -136,9 +157,9 @@ class Batcher {
   /// flush synchronously (size or deadline reached) before returning.
   Completion enqueue(std::function<void(Tx&)> fn, std::uint64_t tag = 0);
 
-  /// Executes one batch now (up to max_batch compatible ops from the queue
-  /// head) inside one outer transaction. Returns the number of ops run; 0
-  /// when the queue is empty.
+  /// Pulls up to max_batch compatible ops from the queue head and runs
+  /// them now, in as few outer transactions as conflicts allow. Returns
+  /// the number of ops pulled, all decided; 0 when the queue is empty.
   std::size_t flush();
 
   /// Flushes until the queue is empty, including ops requeued by the
@@ -148,15 +169,25 @@ class Batcher {
   std::size_t pending() const { return queue_.size(); }
   const BatcherStats& stats() const { return stats_; }
   const BatcherOptions& options() const { return opts_; }
+  /// Size bound of the next outer transaction's first attempt.
+  std::size_t window() const { return window_; }
 
  private:
   bool deadline_expired() const;
+  /// Settles batch[from, from + n), which committed in one outer
+  /// transaction.
+  void settle(const std::vector<std::shared_ptr<detail::OpRecord>>& batch,
+              std::size_t from, std::size_t n,
+              const std::vector<std::uint8_t>& ran);
+  void resize_window(std::size_t committed, bool conflicted);
 
   BatcherOptions opts_;
   BatcherStats stats_;
   std::deque<std::shared_ptr<detail::OpRecord>> queue_;
   std::chrono::steady_clock::time_point oldest_enqueue_{};
   std::uint64_t next_seq_ = 0;
+  std::size_t window_ = 0;
+  std::size_t clean_commits_ = 0;  // clean commits since the window changed
 };
 
 }  // namespace cstm::txbatch

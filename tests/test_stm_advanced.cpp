@@ -5,7 +5,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "stm/stm.hpp"
 #include "support/random.hpp"
@@ -60,8 +62,97 @@ TEST_F(StmAdvanced, ConflictingUpdateAfterReadAborts) {
     tm_write(tx, &b, sum);  // force write-set commit validation
   });
   EXPECT_EQ(attempts, 2);
-  EXPECT_EQ(stats_snapshot().aborts, 1u);
+  const TxStats s = stats_snapshot();
+  EXPECT_EQ(s.aborts, 1u);
+  EXPECT_EQ(s.aborts_validate, 1u);  // caught by commit-time validation
   EXPECT_EQ(b, 102u);
+}
+
+TEST_F(StmAdvanced, StaleReadSetAbortsInExtend) {
+  // The other thread commits to BOTH locations after we read `a`: reading
+  // `b` sees a version past our snapshot, and extending the snapshot fails
+  // because `a` changed too. The abort is charged to extend(), not to
+  // commit validation or the contention policy.
+  alignas(64) std::uint64_t a = 1;
+  alignas(128) std::uint64_t b = 2;
+  int attempts = 0;
+  std::uint64_t sum = 0;
+  atomic([&](Tx& tx) {
+    ++attempts;
+    sum = tm_read(tx, &a);
+    if (attempts == 1) {
+      std::thread([&] {
+        atomic([&](Tx& tx2) {
+          tm_write(tx2, &a, std::uint64_t{10});
+          tm_write(tx2, &b, std::uint64_t{20});
+        });
+      }).join();
+    }
+    sum += tm_read(tx, &b);
+  });
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(sum, 30u);
+  const TxStats s = stats_snapshot();
+  EXPECT_EQ(s.aborts, 1u);
+  EXPECT_EQ(s.aborts_extend, 1u);
+  EXPECT_EQ(s.aborts_validate, 0u);
+  EXPECT_EQ(s.cm_aborts_backoff, 0u);
+}
+
+TEST_F(StmAdvanced, AbortCausesSumToAborts) {
+  // Two threads move units between a few shared cells, reading all of them
+  // first, so conflicts land in every cause: locked orecs, stale snapshots
+  // and commit-time validation. Each abort has exactly one cause.
+  alignas(64) std::uint64_t cells[4][8] = {};
+  for (auto& c : cells) c[0] = 1000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&cells, t] {
+      Xoshiro256 rng(static_cast<std::uint64_t>(t) + 1);
+      for (int i = 0; i < 4000; ++i) {
+        const std::size_t from = rng.below(4);
+        const std::size_t to = (from + 1 + rng.below(3)) % 4;
+        atomic([&](Tx& tx) {
+          std::uint64_t sum = 0;
+          for (auto& c : cells) sum += tm_read(tx, &c[0]);
+          (void)sum;
+          const std::uint64_t have = tm_read(tx, &cells[from][0]);
+          if (have == 0) return;
+          tm_write(tx, &cells[from][0], have - 1);
+          tm_write(tx, &cells[to][0], tm_read(tx, &cells[to][0]) + 1);
+        });
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::uint64_t total = 0;
+  for (auto& c : cells) total += c[0];
+  EXPECT_EQ(total, 4000u);
+  const TxStats s = stats_snapshot();
+  EXPECT_EQ(s.aborts, s.cm_aborts_backoff + s.aborts_extend + s.aborts_validate);
+}
+
+TEST_F(StmAdvanced, CancelAfterConflictAbortResetsAbortCount) {
+  // A top-level transaction that conflict-aborts and then ends WITHOUT
+  // committing must not leave its abort count to the next transaction: the
+  // count sets the first retry's backoff and the first merged batch size.
+  Tx& self = current_tx();
+  int runs = 0;
+  atomic([&](Tx& tx) {
+    if (runs++ == 0) tx.abort_self();  // as if a conflict hit attempt one
+    abort_tx();                        // the retry user-cancels
+  });
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(self.consecutive_aborts, 0u);
+
+  runs = 0;
+  EXPECT_THROW(atomic([&](Tx& tx) {
+                 if (runs++ == 0) tx.abort_self();
+                 throw std::runtime_error("escapes");
+               }),
+               std::runtime_error);
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(self.consecutive_aborts, 0u);
 }
 
 TEST_F(StmAdvanced, FalseConflictsAtCacheLineGranularity) {

@@ -3,9 +3,12 @@
 // transaction abort compensation: an op that user-aborts inside a merged
 // batch is rolled back by the nested partial-abort machinery (captured
 // memory included) and requeued or failed INDIVIDUALLY, leaving its
-// siblings' effects committed.
+// siblings' effects committed. Conflict aborts are injected with
+// Tx::abort_self() to drive the shrink-on-retry prefix and the adaptive
+// window without a second thread; one two-thread stress runs them for real.
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
@@ -14,6 +17,7 @@
 
 #include "stamp/app.hpp"
 #include "stm/stm.hpp"
+#include "support/random.hpp"
 
 namespace cstm {
 namespace {
@@ -198,8 +202,10 @@ TEST_F(TxBatch, DeadlineFlushesOverdueOpsBeforeNewcomerJoins) {
 
 TEST_F(TxBatch, EscapingExceptionCancelsWholeBatch) {
   // A non-transactional exception is NOT compensated per-op: the outer
-  // transaction cancels, every sibling's effects are discarded, all ops in
-  // the batch are failed, and the exception reaches the caller.
+  // transaction it ran in cancels, every sibling's effects in it are
+  // discarded, every undecided op of the flush is failed, and the exception
+  // reaches the caller. A lone thread never conflicts, so its window stays
+  // at max_batch and the whole flush is that one outer transaction.
   txbatch::BatcherOptions opts;
   opts.max_batch = 64;  // keep enqueue from flushing; the throw happens in drain
   txbatch::Batcher batcher(opts);
@@ -216,6 +222,156 @@ TEST_F(TxBatch, EscapingExceptionCancelsWholeBatch) {
   EXPECT_TRUE(c.failed());
   EXPECT_EQ(batcher.stats().ops_failed, 3u);
   EXPECT_EQ(stats_snapshot().commits, 0u);
+}
+
+// Op i of a drained batch appends i to a transactional log, so the log
+// holds each COMMITTED run once, in commit order; `runs` is a plain
+// counter that rollback does not touch.
+struct OpLog {
+  std::uint64_t next = 0;
+  std::uint64_t slot[64] = {};
+  int runs[64] = {};
+
+  void record(Tx& tx, std::size_t i) {
+    ++runs[i];
+    const std::uint64_t pos = tm_read(tx, &next);
+    tm_write(tx, &slot[pos], static_cast<std::uint64_t>(i));
+    tm_write(tx, &next, pos + 1);
+  }
+};
+
+TEST_F(TxBatch, ConflictAbortShrinksRetryAndWindowRegrows) {
+  // Op 5 of 8 conflict-aborts the outer transaction on its first run. The
+  // retry runs only the first 8 >> 1 = 4 ops and commits them; the window
+  // drops to 4, and the rest of the flush (ops 4..7) is a second outer
+  // transaction. Every op commits exactly once, in FIFO order.
+  txbatch::BatcherOptions opts;
+  opts.max_batch = 8;
+  txbatch::Batcher batcher(opts);
+  EXPECT_EQ(batcher.window(), 8u);
+  OpLog log;
+  std::vector<txbatch::Completion> tokens;
+  for (std::size_t i = 0; i < 8; ++i) {
+    tokens.push_back(batcher.enqueue([&log, i](Tx& sub) {
+      log.record(sub, i);
+      if (i == 5 && log.runs[i] == 1) sub.abort_self();
+    }));
+  }
+  EXPECT_EQ(batcher.pending(), 0u);  // the 8th enqueue flushed
+  ASSERT_EQ(log.next, 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(log.slot[i], i);
+    EXPECT_TRUE(tokens[i].committed());
+    EXPECT_EQ(tokens[i].attempts(), 1u);  // the aborted attempt is not one
+    // Ops 0..5 ran in the aborted attempt too; 6 and 7 never did.
+    EXPECT_EQ(log.runs[i], i < 6 ? 2 : 1) << "op " << i;
+  }
+  EXPECT_EQ(batcher.stats().batches, 2u);
+  EXPECT_EQ(batcher.stats().ops_committed, 8u);
+  EXPECT_EQ(batcher.window(), 4u);
+  TxStats s = stats_snapshot();
+  EXPECT_EQ(s.aborts, 1u);
+  EXPECT_EQ(s.commits, 2u);
+  EXPECT_EQ(s.batch_flushes, 2u);
+  EXPECT_EQ(s.batch_ops, 8u);
+  EXPECT_EQ(s.batch_ops_reexecuted, 6u);
+
+  // The window grows by one after `window` consecutive clean commits: the
+  // second chunk above was the first clean one at 4, so 3 + 5 + 6 + 7
+  // single-op flushes bring it back to max_batch, and there it stays.
+  std::size_t flushes = 0;
+  std::size_t last = batcher.window();
+  while (batcher.window() < opts.max_batch && flushes < 100) {
+    batcher.enqueue([](Tx&) {});
+    batcher.flush();
+    ++flushes;
+    EXPECT_GE(batcher.window(), last);
+    last = batcher.window();
+  }
+  EXPECT_EQ(flushes, 21u);
+  for (int i = 0; i < 20; ++i) {
+    batcher.enqueue([](Tx&) {});
+    batcher.flush();
+  }
+  EXPECT_EQ(batcher.window(), opts.max_batch);
+  s = stats_snapshot();
+  EXPECT_EQ(s.aborts, 1u);
+  EXPECT_EQ(s.batch_ops_reexecuted, 6u);
+}
+
+TEST_F(TxBatch, RepeatedConflictsHalveTheAttemptDownToOneOp) {
+  // Op 0 conflict-aborts on its first three runs: the attempts run 8, 4, 2
+  // and then 1 op, which commits alone. The window follows to 1 and then
+  // regrows inside the same flush, one step per `window` clean commits:
+  // op 1 alone (window 1 -> 2), ops 2-3, ops 4-5 (2 -> 3), ops 6-7.
+  txbatch::BatcherOptions opts;
+  opts.max_batch = 8;
+  txbatch::Batcher batcher(opts);
+  OpLog log;
+  for (std::size_t i = 0; i < 8; ++i) {
+    batcher.enqueue([&log, i](Tx& sub) {
+      log.record(sub, i);
+      if (i == 0 && log.runs[0] <= 3) sub.abort_self();
+    });
+  }
+  ASSERT_EQ(log.next, 8u);
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(log.slot[i], i);
+  EXPECT_EQ(log.runs[0], 4);
+  EXPECT_EQ(batcher.window(), 3u);
+  EXPECT_EQ(batcher.stats().batches, 5u);
+  EXPECT_EQ(stats_snapshot().aborts, 3u);
+}
+
+TEST_F(TxBatch, CancelledTransactionLeavesNextBatchWhole) {
+  // A top-level transaction that conflict-aborts and then user-cancels
+  // ends with no commit. Its abort count must not carry over: the next
+  // flush's first attempt runs the whole batch, not a halved one.
+  int runs = 0;
+  atomic([&](Tx& tx) {
+    if (runs++ == 0) tx.abort_self();
+    abort_tx();
+  });
+  txbatch::BatcherOptions opts;
+  opts.max_batch = 8;
+  txbatch::Batcher batcher(opts);
+  for (int i = 0; i < 8; ++i) batcher.enqueue([](Tx&) {});
+  EXPECT_EQ(batcher.stats().batches, 1u);
+  EXPECT_EQ(batcher.window(), 8u);
+}
+
+TEST_F(TxBatch, EscapingExceptionAfterCommittedPrefixKeepsIt) {
+  // Op 2 conflict-aborts once, so ops 0..3 commit as a shrunken prefix and
+  // the window drops to 4. In the next outer transaction op 5 conflicts
+  // (retry: ops 4..5) and then throws. Ops 0..3 stay committed; ops 4..7
+  // fail, 4 and 5 after one cancelled run, 6 and 7 without running.
+  txbatch::BatcherOptions opts;
+  opts.max_batch = 64;  // keep enqueue from flushing; the throw happens in drain
+  txbatch::Batcher batcher(opts);
+  std::uint64_t cells[8] = {};
+  int runs[8] = {};
+  std::vector<txbatch::Completion> tokens;
+  for (std::size_t i = 0; i < 8; ++i) {
+    tokens.push_back(batcher.enqueue([&cells, &runs, i](Tx& sub) {
+      tm_write(sub, &cells[i], std::uint64_t{1});
+      ++runs[i];
+      if ((i == 2 || i == 5) && runs[i] == 1) sub.abort_self();
+      if (i == 5) throw std::runtime_error("boom");
+    }));
+  }
+  EXPECT_THROW(batcher.drain(), std::runtime_error);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(cells[i], i < 4 ? 1u : 0u) << "cell " << i;
+    EXPECT_EQ(tokens[i].state(),
+              i < 4 ? txbatch::OpState::kCommitted : txbatch::OpState::kFailed);
+    EXPECT_EQ(tokens[i].attempts(), i < 6 ? 1u : 0u) << "op " << i;
+  }
+  EXPECT_EQ(batcher.pending(), 0u);
+  EXPECT_EQ(batcher.stats().ops_committed, 4u);
+  EXPECT_EQ(batcher.stats().ops_failed, 4u);
+  EXPECT_EQ(batcher.stats().batches, 1u);
+  const TxStats s = stats_snapshot();
+  EXPECT_EQ(s.commits, 1u);
+  EXPECT_EQ(s.aborts, 2u);
 }
 
 TEST_F(TxBatch, EmptyFlushIsANoOp) {
@@ -262,6 +418,80 @@ TEST_F(TxBatch, BatchingAmortizesCommitsAndRaisesCaptureHits) {
   EXPECT_EQ(single.commits, 32u);
   EXPECT_EQ(merged.commits, 2u);
   EXPECT_GT(merged.capture_hit_percent(), single.capture_hit_percent());
+}
+
+TEST_F(TxBatch, TwoThreadTransfersConserveMoneyInEnqueueOrder) {
+  // Two threads, each with its own Batcher, move money between a few shared
+  // accounts. A transfer only happens when the source can cover it, so the
+  // outcome depends on the order ops commit in. Cross-thread conflicts
+  // abort merged batches, which then shrink. Checks: money is conserved,
+  // every Completion is decided, and each thread's ops commit in the order
+  // it enqueued them.
+  constexpr int kThreads = 2;
+  constexpr std::uint64_t kOps = 20000;
+  constexpr std::size_t kAccounts = 4;
+  struct alignas(64) Account {
+    std::uint64_t balance = 100;
+  };
+  Account accounts[kAccounts];
+  struct alignas(64) Progress {
+    std::uint64_t committed = 0;  // ops of this thread committed so far
+    std::uint64_t out_of_order = 0;
+  };
+  Progress progress[kThreads];
+  std::vector<txbatch::BatcherStats> bstats(kThreads);
+  std::vector<std::uint64_t> undecided(kThreads, 0);
+  std::barrier start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      txbatch::BatcherOptions opts;
+      opts.max_batch = 16;
+      txbatch::Batcher batcher(opts);
+      Xoshiro256 rng(0x5eed + static_cast<std::uint64_t>(t));
+      std::vector<txbatch::Completion> tokens;
+      tokens.reserve(kOps);
+      for (std::uint64_t seq = 0; seq < kOps; ++seq) {
+        const std::size_t from = rng.below(kAccounts);
+        const std::size_t to = (from + 1 + rng.below(kAccounts - 1)) % kAccounts;
+        const std::uint64_t amount = 1 + rng.below(40);
+        tokens.push_back(batcher.enqueue([&accounts, &mine = progress[t], from,
+                                          to, amount, seq](Tx& tx) {
+          const std::uint64_t done = tm_read(tx, &mine.committed);
+          if (done != seq) {
+            tm_write(tx, &mine.out_of_order, tm_read(tx, &mine.out_of_order) + 1);
+          }
+          tm_write(tx, &mine.committed, done + 1);
+          const std::uint64_t have = tm_read(tx, &accounts[from].balance);
+          if (have < amount) return;
+          tm_write(tx, &accounts[from].balance, have - amount);
+          tm_write(tx, &accounts[to].balance,
+                   tm_read(tx, &accounts[to].balance) + amount);
+        }));
+      }
+      batcher.drain();
+      for (const auto& tok : tokens) undecided[t] += tok.committed() ? 0 : 1;
+      bstats[t] = batcher.stats();
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  std::uint64_t total = 0;
+  for (const Account& a : accounts) total += a.balance;
+  EXPECT_EQ(total, 100u * kAccounts);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(undecided[t], 0u) << "thread " << t;
+    EXPECT_EQ(progress[t].committed, kOps) << "thread " << t;
+    EXPECT_EQ(progress[t].out_of_order, 0u) << "thread " << t;
+    EXPECT_EQ(bstats[t].ops_committed, kOps);
+    EXPECT_EQ(bstats[t].ops_failed, 0u);
+  }
+  const TxStats s = stats_snapshot();
+  EXPECT_EQ(s.batch_ops, kThreads * kOps);
+  EXPECT_EQ(s.batch_flushes, bstats[0].batches + bstats[1].batches);
+  EXPECT_EQ(s.commits, s.batch_flushes);
+  EXPECT_EQ(s.aborts, s.cm_aborts_backoff + s.aborts_extend + s.aborts_validate);
 }
 
 }  // namespace
