@@ -10,12 +10,18 @@
 // treap's shape depends only on the key set — not on the inserting thread,
 // the insertion history or the process. All barrier + Site decisions live
 // in the tfield/tvar types of Node and the map header.
+//
+// Because the shape is a function of the key set, AscendingBuilder can build
+// it outside any transaction (setup code) from ascending keys in amortized
+// O(1) per key, leaving memory bit-identical to the same insert() calls.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <vector>
 
 #include "generated/site_verdicts.hpp"
 #include "stm/stm.hpp"
@@ -26,6 +32,8 @@ namespace cstm {
 template <typename K, typename V, typename Compare = std::less<K>>
   requires TmValue<K> && TmValue<V>
 class TxMap {
+  struct Node;
+
  public:
   TxMap() = default;
   ~TxMap() { destroy(root_.peek()); }
@@ -91,6 +99,52 @@ class TxMap {
 
   std::size_t size(Tx& tx) { return size_.get(tx); }
   bool empty(Tx& tx) { return size(tx) == 0; }
+
+  /// Sequential (non-transactional) equivalent of insert() for keys that
+  /// arrive in strictly ascending order, each greater than every key the map
+  /// already holds. It keeps the treap's right spine on a stack: insert()
+  /// would put the new node right of the spine's last node and rotate it
+  /// above every ancestor of strictly lower priority, so append() pops those
+  /// (the popped chain becomes the new node's left subtree) and links the
+  /// node under the remaining top. Each node is allocated inside append(),
+  /// where insert() allocates it, so interleaved allocations keep their Pool
+  /// addresses. The map must not change by other means while a builder is
+  /// in use.
+  class AscendingBuilder {
+   public:
+    explicit AscendingBuilder(TxMap& map) : map_(map) {
+      for (Node* n = map.root_.peek(); n != nullptr; n = n->right.peek()) {
+        spine_.push_back(n);
+      }
+    }
+
+    void append(const K& k, const V& v) {
+      assert(spine_.empty() || map_.cmp_(spine_.back()->key.peek(), k));
+      Node* node = ::new (Pool::local().allocate(sizeof(Node))) Node;
+      const std::uint64_t prio = priority_of(k);
+      node->key.poke(k);
+      node->value.poke(v);
+      node->prio.poke(prio);
+      Node* left = nullptr;
+      while (!spine_.empty() && spine_.back()->prio.peek() < prio) {
+        left = spine_.back();
+        spine_.pop_back();
+      }
+      node->left.poke(left);
+      node->right.poke(nullptr);
+      if (spine_.empty()) {
+        map_.root_.poke(node);
+      } else {
+        spine_.back()->right.poke(node);
+      }
+      spine_.push_back(node);
+      map_.size_.poke(map_.size_.peek() + 1);
+    }
+
+   private:
+    TxMap& map_;
+    std::vector<Node*> spine_;  // root first, the largest key last
+  };
 
   /// Sequential (non-transactional) in-order visit for verification code.
   template <typename F>

@@ -28,11 +28,15 @@ void BayesApp::setup(const AppParams& params) {
   for (std::size_t v = 0; v < num_vars_; ++v) {
     parents_.push_back(std::make_unique<TxList<std::uint64_t>>());
   }
-  Tx& tx = current_tx();
-  for (std::size_t t = 0; t < initial_tasks_; ++t) {
-    task_list_->insert(
-        tx, pack_task(rng.below(1u << 20), rng.below(num_vars_)));
+  std::vector<std::uint64_t> tasks(initial_tasks_);
+  for (auto& task : tasks) {
+    // Two statements fix the draw order (argument evaluation order is
+    // unspecified); var first keeps the task sequence GCC always drew.
+    const std::uint64_t var = rng.below(num_vars_);
+    const std::uint64_t score = rng.below(1u << 20);
+    task = pack_task(score, var);
   }
+  task_list_->bulk_insert_sequential(tasks);
   tasks_created_.poke(initial_tasks_);
   tasks_done_.poke(0);
   arcs_added_.poke(0);

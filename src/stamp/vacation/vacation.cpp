@@ -69,7 +69,11 @@ void VacationApp::setup(const AppParams& params) {
   query_range_ = relations_ * static_cast<std::uint64_t>(range_percent) / 100;
 
   Xoshiro256 rng(params.seed);
-  Tx& tx = current_tx();  // setup runs outside transactions: plain accesses
+  // Ids ascend, so each map is built by appending to its right spine.
+  Table::AscendingBuilder tables[] = {Table::AscendingBuilder(cars_),
+                                      Table::AscendingBuilder(rooms_),
+                                      Table::AscendingBuilder(flights_)};
+  TxMap<std::uint64_t, Customer*>::AscendingBuilder customers(customers_);
   for (std::uint64_t id = 0; id < relations_; ++id) {
     for (Kind k : {kCar, kRoom, kFlight}) {
       auto* r = static_cast<Reservation*>(Pool::local().allocate(sizeof(Reservation)));
@@ -77,13 +81,13 @@ void VacationApp::setup(const AppParams& params) {
       r->num_total.poke(rng.between(1, 5));
       r->num_free.poke(r->num_total.peek());
       r->price.poke(rng.between(100, 999));
-      table_of(k).insert(tx, id, r);
+      tables[k].append(id, r);
     }
     auto* c = static_cast<Customer*>(Pool::local().allocate(sizeof(Customer)));
     c->id = id;
     c->bill.poke(0);
     c->bookings = new TxList<std::uint64_t>(/*allow_duplicates=*/true);
-    customers_.insert(tx, id, c);
+    customers.append(id, c);
     all_customers_.push_back(c);
   }
 }

@@ -23,12 +23,13 @@ void YadaApp::setup(const AppParams& params) {
 
   Xoshiro256 rng(params.seed);
   Tx& tx = current_tx();
+  TxMap<std::uint64_t, Element*>::AscendingBuilder mesh(*mesh_);
   for (std::uint64_t id = 0; id < initial_elements_; ++id) {
     auto* e = static_cast<Element*>(Pool::local().allocate(sizeof(Element)));
     e->id.poke(id);
     e->quality.poke(rng.below(100));
     e->generation.poke(0);
-    mesh_->insert(tx, id, e);
+    mesh.append(id, e);
     if (e->quality.peek() < kGoodQuality) work_->push(tx, id);
   }
   next_id_.poke(initial_elements_);

@@ -151,7 +151,13 @@ void* Pool::allocate(std::size_t n, std::size_t* usable) {
   }
   const std::uint32_t cls = class_of(n == 0 ? 1 : n);
   if (usable != nullptr) *usable = kClassSizes[cls];
-  if (freelists_[cls] == nullptr) drain_remote();
+  // A relaxed load first: the exchange in drain_remote is a locked
+  // instruction, and most empty freelists (every bump-carved block) find no
+  // remote frees to take.
+  if (freelists_[cls] == nullptr &&
+      remote_.load(std::memory_order_relaxed) != nullptr) {
+    drain_remote();
+  }
   if (void* p = freelists_[cls]) {
     freelists_[cls] = *static_cast<void**>(p);
     return p;

@@ -311,6 +311,124 @@ INSTANTIATE_TEST_SUITE_P(AllConfigs, ContainersAllConfigs,
                          [](const auto& info) { return config_name(info.param); });
 
 // ---------------------------------------------------------------------------
+// Sequential bulk builders (setup code) must build exactly what the per-
+// element inserts build.
+// ---------------------------------------------------------------------------
+
+// Orders by the high bits only, so equivalent elements keep distinct low
+// bits and the order among them is observable.
+struct HighBitsLess {
+  bool operator()(std::uint64_t a, std::uint64_t b) const {
+    return (a >> 8) < (b >> 8);
+  }
+};
+
+template <typename List>
+std::vector<std::uint64_t> list_contents(List& list) {
+  std::vector<std::uint64_t> out;
+  atomic([&](Tx& tx) {
+    out.clear();  // retry-safe
+    typename List::Iterator it;
+    list.iter_reset(tx, &it);
+    while (list.iter_has_next(tx, &it)) out.push_back(list.iter_next(tx, &it));
+  });
+  return out;
+}
+
+TEST(ContainerBuilders, ListBulkInsertMatchesInserts) {
+  set_global_config(TxConfig::baseline());
+  Xoshiro256 rng(42);
+  std::vector<std::uint64_t> values(500);
+  for (auto& v : values) v = (rng.below(40) << 8) | rng.below(256);
+  for (const bool dups : {true, false}) {
+    TxList<std::uint64_t, HighBitsLess> inserted(dups);
+    atomic([&](Tx& tx) {
+      for (std::uint64_t v : values) inserted.insert(tx, v);
+    });
+    TxList<std::uint64_t, HighBitsLess> built(dups);
+    const std::size_t n = built.bulk_insert_sequential(values);
+    const auto want = list_contents(inserted);
+    EXPECT_EQ(list_contents(built), want) << "duplicates " << dups;
+    EXPECT_EQ(n, want.size());
+    atomic([&](Tx& tx) { EXPECT_EQ(built.size(tx), want.size()); });
+    EXPECT_EQ(want.size(), dups ? values.size() : 40u);
+  }
+}
+
+TEST(ContainerBuilders, ListBulkInsertOfNothingLeavesEmptyList) {
+  TxList<std::uint64_t> list;
+  EXPECT_EQ(list.bulk_insert_sequential({}), 0u);
+  EXPECT_TRUE(list_contents(list).empty());
+  atomic([&](Tx& tx) {
+    EXPECT_TRUE(list.empty(tx));
+    EXPECT_TRUE(list.insert(tx, 3));  // still a working list
+  });
+  EXPECT_EQ(list_contents(list), (std::vector<std::uint64_t>{3}));
+}
+
+using BuiltMap = TxMap<std::uint64_t, std::uint64_t>;
+
+std::vector<std::pair<std::uint64_t, std::uint64_t>> map_contents(
+    const BuiltMap& map) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  map.for_each_sequential([&](std::uint64_t k, std::uint64_t v) {
+    out.emplace_back(k, v);
+  });
+  return out;
+}
+
+// Transactional reads a find of @p k costs: one per node on its path, so
+// equal counts for every key mean equal node depths, hence an equal shape.
+std::uint64_t find_reads(BuiltMap& map, std::uint64_t k) {
+  stats_reset();
+  atomic([&](Tx& tx) { EXPECT_TRUE(map.find(tx, k)); });
+  return stats_snapshot().reads;
+}
+
+void expect_same_treap(BuiltMap& built, BuiltMap& inserted,
+                       const std::vector<std::uint64_t>& keys) {
+  ASSERT_EQ(map_contents(built), map_contents(inserted));
+  atomic([&](Tx& tx) { EXPECT_EQ(built.size(tx), inserted.size(tx)); });
+  for (std::uint64_t k : keys) {
+    EXPECT_EQ(find_reads(built, k), find_reads(inserted, k)) << "key " << k;
+  }
+}
+
+TEST(ContainerBuilders, MapAscendingBuilderMatchesInserts) {
+  set_global_config(TxConfig::baseline());
+  Xoshiro256 rng(7);
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 0; keys.size() < 2000;) {
+    keys.push_back(k += 1 + rng.below(5));
+  }
+  BuiltMap inserted;
+  atomic([&](Tx& tx) {
+    for (std::uint64_t k : keys) inserted.insert(tx, k, k * 3);
+  });
+  BuiltMap built;
+  BuiltMap::AscendingBuilder builder(built);
+  for (std::uint64_t k : keys) builder.append(k, k * 3);
+  expect_same_treap(built, inserted, keys);
+}
+
+TEST(ContainerBuilders, MapAscendingBuilderExtendsAMapOfSmallerKeys) {
+  set_global_config(TxConfig::baseline());
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 0; k < 1000; ++k) keys.push_back(k * 2);
+  BuiltMap inserted;
+  BuiltMap built;
+  atomic([&](Tx& tx) {
+    for (std::uint64_t k : keys) inserted.insert(tx, k, k);
+    for (std::size_t i = 0; i < 300; ++i) built.insert(tx, keys[i], keys[i]);
+  });
+  BuiltMap::AscendingBuilder builder(built);
+  for (std::size_t i = 300; i < keys.size(); ++i) {
+    builder.append(keys[i], keys[i]);
+  }
+  expect_same_treap(built, inserted, keys);
+}
+
+// ---------------------------------------------------------------------------
 // Elision profile checks: the containers must actually produce the captured
 // accesses the paper measures (node init writes elided under runtime checks).
 // ---------------------------------------------------------------------------

@@ -120,5 +120,33 @@ TEST(StampProfiles, VacationCompilerElidesStatically) {
   EXPECT_GT(s.write_elided_static, 0u);
 }
 
+// Setup fingerprint: on 1 thread under full barriers a run is a pure
+// function of the inputs setup builds (bayes's task list, vacation's and
+// yada's treaps, the Pool addresses behind them), so these counts pin those
+// inputs. A change to any setup, builder or draw order moves them.
+struct Fingerprint {
+  const char* app;
+  std::uint64_t commits, reads, writes, tx_allocs;
+};
+
+TEST(StampSetup, OneThreadFullBarrierCountsMatchRecordedInputs) {
+  const Fingerprint expected[] = {
+      {"bayes", 7891, 955496, 263738, 369},
+      {"vacation-low", 8192, 2799470, 224560, 16208},
+      {"yada", 1845, 467593, 121744, 9448},
+  };
+  harness::Options opt;
+  opt.scale = 1.0;
+  opt.seed = 7;
+  for (const Fingerprint& f : expected) {
+    const TxStats s =
+        harness::run_once(f.app, 1, TxConfig::baseline(), opt).stats;
+    EXPECT_EQ(s.commits, f.commits) << f.app;
+    EXPECT_EQ(s.reads, f.reads) << f.app;
+    EXPECT_EQ(s.writes, f.writes) << f.app;
+    EXPECT_EQ(s.tx_allocs, f.tx_allocs) << f.app;
+  }
+}
+
 }  // namespace
 }  // namespace cstm
