@@ -132,14 +132,14 @@ void BM_WriteBarrier_ElidedStack(benchmark::State& state) {
   set_global_config(TxConfig::runtime_w());
   for (auto _ : state) {
     atomic([&](Tx& tx) {
-      std::uint64_t local[64];
-      for (std::size_t i = 0; i < 64; ++i) {
+      std::uint64_t local[1024];
+      for (std::size_t i = 0; i < 1024; ++i) {
         tm_write(tx, &local[i], i, kAutoSite);
       }
       benchmark::DoNotOptimize(local);
     });
   }
-  state.SetItemsProcessed(state.iterations() * 64);
+  state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_WriteBarrier_ElidedStack);
 
@@ -190,15 +190,15 @@ void BM_Dispatch_ReadElidedStack(benchmark::State& state) {
   std::uint64_t sink = 0;
   for (auto _ : state) {
     atomic([&](Tx& tx) {
-      std::uint64_t local[64] = {};
-      for (std::size_t i = 0; i < 64; ++i) {
+      std::uint64_t local[1024] = {};
+      for (std::size_t i = 0; i < 1024; ++i) {
         sink += tm_read(tx, &local[i], kAutoSite);
       }
       benchmark::DoNotOptimize(local);
     });
   }
   benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * 64);
+  state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_Dispatch_ReadElidedStack);
 
@@ -232,14 +232,14 @@ void BM_Dispatch_WriteProvenCaptured(benchmark::State& state) {
   set_global_config(TxConfig::compiler());
   for (auto _ : state) {
     atomic([&](Tx& tx) {
-      auto* block = static_cast<std::uint64_t*>(tx_malloc(tx, 64 * 8));
-      for (std::size_t i = 0; i < 64; ++i) {
+      auto* block = static_cast<std::uint64_t*>(tx_malloc(tx, 1024 * 8));
+      for (std::size_t i = 0; i < 1024; ++i) {
         tm_write(tx, &block[i], i, kAutoCapturedSite);
       }
       tx_free(tx, block);
     });
   }
-  state.SetItemsProcessed(state.iterations() * 64);
+  state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_Dispatch_WriteProvenCaptured);
 

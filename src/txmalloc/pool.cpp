@@ -6,6 +6,10 @@
 
 #include "support/cacheline.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace cstm {
 
 namespace {
@@ -31,6 +35,19 @@ constexpr ClassTable kClassTable{};
 std::uint32_t class_of(std::size_t n) {
   const std::size_t u = (n + 15) / 16;
   return kClassTable.idx[u];
+}
+
+constexpr std::align_val_t kChunkAlign{kCacheLineSize};
+
+// Bytes to skip before a payload of @p size that would start at address
+// @p payload. A payload of at most one line that would straddle a line
+// boundary moves to the next line (its header takes the 16 bytes before
+// it), so exactly one ownership record covers it and no neighbour's stores
+// can false-conflict with it.
+std::size_t line_skip(std::uintptr_t payload, std::size_t size) {
+  const std::size_t offset = payload & (kCacheLineSize - 1);
+  if (size > kCacheLineSize || offset + size <= kCacheLineSize) return 0;
+  return kCacheLineSize - offset;
 }
 
 std::size_t g_pool_count = 0;
@@ -77,7 +94,7 @@ struct PoolHolder {
 Pool::Pool() = default;
 
 Pool::~Pool() {
-  for (void* c : chunks_) ::operator delete(c);
+  for (void* c : chunks_) ::operator delete(c, kChunkAlign);
 }
 
 Pool& Pool::local() {
@@ -91,20 +108,31 @@ std::size_t Pool::pool_count() {
 }
 
 void* Pool::carve(std::uint32_t cls) {
-  const std::size_t need = kHeaderSize + kClassSizes[cls];
-  if (static_cast<std::size_t>(bump_end_ - bump_) < need) {
-    char* chunk = static_cast<char*>(::operator new(kChunkBytes));
+  const std::size_t size = kClassSizes[cls];
+  auto skip_at = [&] {
+    return line_skip(reinterpret_cast<std::uintptr_t>(bump_) + kHeaderSize,
+                     size);
+  };
+  std::size_t skip = skip_at();
+  if (static_cast<std::size_t>(bump_end_ - bump_) < skip + kHeaderSize + size) {
+    char* chunk = static_cast<char*>(::operator new(kChunkBytes, kChunkAlign));
     chunks_.push_back(chunk);
     stats_.chunk_bytes += kChunkBytes;
     bump_ = chunk;
     bump_end_ = chunk + kChunkBytes;
+    skip = skip_at();
   }
-  char* block = bump_;
-  bump_ += align_up(need, 16);
+#if defined(__SANITIZE_ADDRESS__)
+  // The skipped bytes belong to no block: an overrun of the block before
+  // them is reported instead of landing silently.
+  ASAN_POISON_MEMORY_REGION(bump_, skip);
+#endif
+  char* block = bump_ + skip;
+  bump_ = block + kHeaderSize + size;
   auto* h = reinterpret_cast<Header*>(block);
   h->owner = this;
   h->cls = cls;
-  h->size = static_cast<std::uint32_t>(kClassSizes[cls]);
+  h->size = static_cast<std::uint32_t>(size);
   return block + kHeaderSize;
 }
 

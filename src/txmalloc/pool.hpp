@@ -6,6 +6,12 @@
 // lock-free remote-free stack. Pools are parked — never destroyed — when
 // their thread exits, and recycled for future threads, so a block can always
 // reach its owner.
+//
+// Blocks are carved from 64-byte-aligned chunks, and no payload of at most
+// one cache line crosses a line boundary: ownership records cover one line
+// each, so every such object is covered by exactly one record and never
+// false-conflicts with a neighbour. A freelist hands a block back out only
+// for its own size class, so reuse keeps the placement.
 #pragma once
 
 #include <atomic>

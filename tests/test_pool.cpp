@@ -1,16 +1,23 @@
 // Transactional memory pool tests: size classes, freelist reuse,
-// cross-thread (remote) frees, pool parking/recycling on thread exit, and
-// quarantine-based reclamation quiescence.
+// cross-thread (remote) frees, pool parking/recycling on thread exit, block
+// placement against cache lines, and quarantine-based reclamation
+// quiescence.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "stm/stm.hpp"
+#include "support/random.hpp"
 #include "txmalloc/pool.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace cstm {
 namespace {
@@ -121,6 +128,107 @@ TEST(Pool, ManyThreadsManyBlocksNoOverlap) {
     }
   }
 }
+
+// -- Placement against cache lines --------------------------------------------
+
+struct Block {
+  std::uintptr_t addr;
+  std::size_t usable;
+};
+
+Block take(Pool& pool, std::size_t n) {
+  std::size_t usable = 0;
+  void* p = pool.allocate(n, &usable);
+  return Block{reinterpret_cast<std::uintptr_t>(p), usable};
+}
+
+// The placement contract for a set of live blocks: no payload of at most
+// one line crosses a line (so one ownership record covers it), every
+// payload stays 16-byte aligned, and no two blocks of more than half a line
+// share a line.
+void expect_line_placement(const std::vector<Block>& live) {
+  std::map<std::uintptr_t, std::uintptr_t> big_by_line;
+  for (const Block& b : live) {
+    EXPECT_EQ(b.addr % 16, 0u) << std::hex << b.addr;
+    if (b.usable > kCacheLineSize) continue;
+    const std::uintptr_t first = b.addr / kCacheLineSize;
+    const std::uintptr_t last = (b.addr + b.usable - 1) / kCacheLineSize;
+    EXPECT_EQ(first, last) << std::hex << b.addr << " +" << std::dec
+                           << b.usable;
+    const auto* p = reinterpret_cast<const char*>(b.addr);
+    EXPECT_EQ(OrecTable::index_of(p), OrecTable::index_of(p + b.usable - 1));
+    if (b.usable >= 33) {
+      const auto [it, fresh] = big_by_line.emplace(first, b.addr);
+      EXPECT_TRUE(fresh) << std::hex << b.addr << " shares a line with "
+                         << it->second;
+    }
+  }
+}
+
+TEST(PoolPlacement, VacationSetupPatternStaysInsideLines) {
+  // Vacation's setup interleaves Reservation (32) and TxMap node (48)
+  // allocations; without placement every other 48-byte node straddles.
+  Pool pool;
+  std::vector<Block> live;
+  for (int i = 0; i < 3000; ++i) {
+    live.push_back(take(pool, 32));
+    live.push_back(take(pool, 40));
+  }
+  expect_line_placement(live);
+}
+
+TEST(PoolPlacement, RandomSmallClassMixStaysInsideLines) {
+  Pool pool;
+  Xoshiro256 rng(20091);
+  std::vector<Block> live;
+  for (int i = 0; i < 20000; ++i) {
+    live.push_back(take(pool, 1 + rng.below(kCacheLineSize)));
+  }
+  expect_line_placement(live);
+}
+
+TEST(PoolPlacement, FreelistReuseKeepsPlacement) {
+  // Blocks freed and handed out again, interleaved with fresh carving, keep
+  // the contract. The pool is not this thread's, so frees take the remote
+  // path and are drained on the next allocation miss.
+  Pool pool;
+  Xoshiro256 rng(77);
+  std::vector<Block> live;
+  std::set<std::uintptr_t> seen;
+  std::size_t reused = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 4000; ++i) {
+      live.push_back(take(pool, 1 + rng.below(kCacheLineSize)));
+      if (!seen.insert(live.back().addr).second) ++reused;
+    }
+    for (std::size_t i = 0; i < live.size();) {
+      if (rng.below(2) == 0) {
+        Pool::deallocate(reinterpret_cast<void*>(live[i].addr));
+        live[i] = live.back();
+        live.pop_back();
+      } else {
+        ++i;
+      }
+    }
+    expect_line_placement(live);
+  }
+  EXPECT_GT(reused, 0u);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(PoolPlacement, SkippedBytesArePoisoned) {
+  // A fresh chunk is line-aligned: a 16-byte block fills [16, 32), so a
+  // 64-byte block must skip [32, 48) and take its header at 48.
+  Pool pool;
+  auto* a = static_cast<char*>(pool.allocate(16));
+  auto* b = static_cast<char*>(pool.allocate(64));
+  ASSERT_EQ(b - a, 48);
+  EXPECT_NE(__asan_address_is_poisoned(a + 16), 0);
+  EXPECT_NE(__asan_address_is_poisoned(a + 31), 0);
+  EXPECT_EQ(__asan_address_is_poisoned(a + 15), 0);
+  EXPECT_EQ(__asan_address_is_poisoned(b), 0);
+}
+#endif
 
 // -- Quarantine quiescence ----------------------------------------------------
 
