@@ -17,6 +17,7 @@
 
 #include "capture/array_log.hpp"
 #include "stm/stm.hpp"
+#include "support/cacheline.hpp"
 
 namespace {
 
@@ -37,6 +38,34 @@ void BM_FullReadBarrier(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_FullReadBarrier);
+
+// The same barrier over a cold 16 MB working set: one word per cache line,
+// each transaction reading the next 1024 lines, so every access misses the
+// core's caches for both the data and its ownership record. It shows how
+// densely records of neighbouring lines sit in the table, which the hot
+// 8 KB array above cannot.
+void BM_FullReadBarrier_Cold16MB(benchmark::State& state) {
+  set_global_config(TxConfig::baseline());
+  constexpr std::size_t kStep = kCacheLineSize / sizeof(std::uint64_t);
+  std::vector<std::uint64_t> data((std::size_t{16} << 20) / sizeof(std::uint64_t),
+                                  1);
+  std::size_t next = 0;
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    const std::size_t start = next;
+    atomic([&](Tx& tx) {
+      next = start;
+      for (int i = 0; i < 1024; ++i) {
+        sink += tm_read(tx, &data[next]);
+        next += kStep;
+        if (next == data.size()) next = 0;
+      }
+    });
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_FullReadBarrier_Cold16MB);
 
 void BM_FullWriteBarrier(benchmark::State& state) {
   set_global_config(TxConfig::baseline());

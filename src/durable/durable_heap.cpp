@@ -27,7 +27,7 @@ namespace {
 //   [8]  u32 count       redo entries that follow
 //   [12] u32 reserved
 //   [16] count * {u64 where, u64 value, u32 len, u32 kind}   (24 B each)
-//   [..] u64 checksum    FNV-1a over bytes [0, 16 + 24*count)
+//   [..] u64 checksum    word-wise FNV-1a over bytes [0, 16 + 24*count)
 // kind 0: `where` is a volatile address — flush-accounted, never replayed.
 // kind 1: `where` is an offset into the data area — replayed at recovery.
 constexpr std::size_t kRecHeader = 16;
@@ -35,11 +35,22 @@ constexpr std::size_t kRecEntry = 24;
 constexpr std::uint32_t kKindVolatile = 0;
 constexpr std::uint32_t kKindRegion = 1;
 
+/// FNV-1a over 8-byte words (native byte order), then a bytewise tail.
+/// Each step is a bijection of the running hash, so any single corrupted
+/// word or byte changes the result.
 std::uint64_t fnv1a(const unsigned char* p, std::size_t n) {
+  constexpr std::uint64_t kPrime = 1099511628211ull;
   std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, 8);
+    h ^= w;
+    h *= kPrime;
+  }
+  for (; i < n; ++i) {
     h ^= p[i];
-    h *= 1099511628211ull;
+    h *= kPrime;
   }
   return h;
 }

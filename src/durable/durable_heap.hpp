@@ -107,7 +107,9 @@ class DurableHeap {
   friend void commit_tx(Tx& tx);
 
   static constexpr std::uint64_t kMagic = 0x4353544d44555231ull;  // CSTMDUR1
-  static constexpr std::uint32_t kVersion = 1;
+  /// Version 2: the record checksum hashes 8-byte words (version 1 hashed
+  /// bytes), so a version-1 file is refused rather than misread.
+  static constexpr std::uint32_t kVersion = 2;
   static constexpr std::size_t kHeaderBytes = 4096;
   /// Line 0 of the data area: [0] bump cursor, [1..] root slots.
   static constexpr std::size_t kUserBase = 64;

@@ -59,7 +59,15 @@ template <TmValue T>
       if (!tx.extend()) tx.on_extend_failure();
       continue;  // timestamp extended; revalidate this orec
     }
-    tx.rs.push(ReadEntry{&rec, v1});
+    // A read that finds the record and word the last entry already holds
+    // adds nothing to validation, so it is not logged. This is exact: a
+    // read that observes a different word is logged, and a nested child's
+    // skipped read is covered by the parent's entry, which the child's
+    // partial abort keeps.
+    if (tx.rs.empty() || tx.rs.back().rec != &rec ||
+        tx.rs.back().observed != v1) {
+      tx.rs.push(ReadEntry{&rec, v1});
+    }
     return val;
   }
 }

@@ -55,6 +55,8 @@ class TxLog {
   void push(const T& e) { items_.push_back(e); }
   std::size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
+  /// Last entry; the log must not be empty.
+  const T& back() const { return items_.back(); }
   void clear() { items_.clear(); }
   void truncate(std::size_t n) { items_.resize(n); }
   const T& operator[](std::size_t i) const { return items_[i]; }

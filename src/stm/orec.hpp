@@ -4,28 +4,23 @@
 // to an ownership record. The record word encodes either
 //   version << 1          (unlocked; version taken from the global clock) or
 //   descriptor-ptr | 1    (locked by the writing transaction).
-// Distinct addresses hashing to the same record produce false conflicts —
+// Distinct addresses mapping to the same record produce false conflicts —
 // the effect the paper's optimizations reduce by eliding barriers entirely.
 //
-// Layout: the table is sharded into cache-line-aligned STRIPES of eight
-// records each, and addresses are spread across stripes with a Fibonacci
-// multiplicative mixing hash instead of the old linear `(addr >> 6) & mask`.
-// Two reasons, both commit-path scalability (ROADMAP direction 1):
+// Layout: a flat array of 2^20 records indexed by the line number modulo
+// the table size, `(addr >> 6) & (kSize - 1)`. Records therefore sit in
+// address order:
 //
-//  * Padding/alignment: a stripe is exactly one cache line, so record
-//    index i and record index i+8 can never share a line — writers hammering
-//    neighbouring records don't false-share beyond what the hash maps
-//    together.
-//  * Mixing: the linear hash sends arrays (sequentially adjacent cache
-//    lines) to sequentially adjacent records, concentrating a hot array's
-//    locks in a few lines. The multiplicative hash scatters them across the
-//    whole table while staying deterministic and cheap (one imul + shift).
+//  * the same cache line always maps to the same record, adjacent lines to
+//    adjacent (distinct) records, and two lines share a record exactly when
+//    they are kSize lines (64 MB) apart;
+//  * the records of the 8 lines of an aligned 512-byte window share one
+//    cache line of the table, and one 4 KB table page covers 32 KB of data,
+//    so a barrier walking a data structure touches the table about as
+//    densely as it touches the data, and only the pages of the table that
+//    cover live data are ever faulted in.
 //
-// The hash keeps both properties the false-conflict tests rely on:
-// addresses on the SAME cache line always map to the same record, and
-// ADJACENT cache lines always map to different records — the index delta of
-// lines differing by d is d * (kMix >> (64 - kIndexBits)) mod table size,
-// which is provably nonzero for small d (see tests/test_clock_orec.cpp).
+// The properties are pinned by tests/test_clock_orec.cpp.
 #pragma once
 
 #include <atomic>
@@ -57,48 +52,20 @@ class OrecTable {
   static constexpr std::size_t kSize = std::size_t{1} << kSizeLog2;
   static constexpr std::size_t kGranularityLog2 = 6;  // cache line
 
-  /// Records per stripe: one cache line of 8-byte atomics.
-  static constexpr std::size_t kStripeSlots =
-      kCacheLineSize / sizeof(std::atomic<std::uint64_t>);
-  static constexpr std::size_t kStripes = kSize / kStripeSlots;
-
-  /// Fibonacci multiplicative constant (2^64 / phi). Its top-kSizeLog2
-  /// slice is odd, so consecutive cache lines step the index by a nonzero
-  /// odd constant mod kSize — adjacent lines never collide.
-  static constexpr std::uint64_t kMix = 0x9e3779b97f4a7c15ull;
-
-  struct alignas(kCacheLineSize) Stripe {
-    std::atomic<std::uint64_t> slots[kStripeSlots];
-  };
-  static_assert(sizeof(Stripe) == kCacheLineSize,
-                "a stripe must be exactly one cache line");
-  static_assert(alignof(Stripe) == kCacheLineSize,
-                "stripes must be cache-line aligned");
-  static_assert(kStripes * kStripeSlots == kSize, "stripes must tile the table");
-
   std::atomic<std::uint64_t>& slot(const void* addr) {
-    const std::size_t idx = index_of(addr);
-    return stripes_[idx / kStripeSlots].slots[idx % kStripeSlots];
+    return recs_[index_of(addr)];
   }
 
   /// Index helper exposed for tests exercising false-conflict behaviour.
-  /// Same cache line => same index; the mixing multiply acts on the line
-  /// number only.
   static std::size_t index_of(const void* addr) {
     const auto a = reinterpret_cast<std::uintptr_t>(addr);
-    const std::uint64_t line = static_cast<std::uint64_t>(a) >> kGranularityLog2;
-    return static_cast<std::size_t>((line * kMix) >> (64 - kSizeLog2));
-  }
-
-  /// Stripe number of @p addr, exposed for the striping tests.
-  static std::size_t stripe_of(const void* addr) {
-    return index_of(addr) / kStripeSlots;
+    return static_cast<std::size_t>(a >> kGranularityLog2) & (kSize - 1);
   }
 
  private:
   // Zero-initialized at compile time: every record starts unlocked at
   // version 0.
-  Stripe stripes_[kStripes]{};
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> recs_[kSize]{};
 };
 
 /// The process-wide ownership record table: 8 MB of zeroed static storage

@@ -3,9 +3,10 @@
 //  * the global version clock (stm/gclock.hpp) — consecutive stamps, the
 //    previous value each stamp replaced, visibility on return, global
 //    uniqueness of stamps and a monotonic clock under concurrency;
-//  * the striped ownership-record table (stm/orec.hpp) — cache-line
-//    alignment, same-line/adjacent-line mapping guarantees, hash
-//    distribution, and stripe isolation.
+//  * the ownership-record table (stm/orec.hpp) — same-line/adjacent-line
+//    mapping guarantees, and the locality of records kept in address
+//    order: 8 neighbouring lines per table line, few table pages per data
+//    region, aliasing only at exactly kSize lines.
 //
 // The clock tests run against LOCAL GlobalClock instances, so the counts
 // start at 0 whatever the production clock has seen.
@@ -81,84 +82,99 @@ TEST(GlobalClock, ConcurrentStampsAreUniqueAndTheClockIsMonotonic) {
 }
 
 // ---------------------------------------------------------------------------
-// Striped orec table
+// Orec table layout: records in address order
 // ---------------------------------------------------------------------------
 
-// Alignment properties are compile-time facts; restate them here so the
-// test suite fails loudly if the stripe layout regresses.
-static_assert(sizeof(OrecTable::Stripe) == kCacheLineSize);
-static_assert(alignof(OrecTable::Stripe) == kCacheLineSize);
-static_assert(OrecTable::kStripes * OrecTable::kStripeSlots == OrecTable::kSize);
-static_assert((OrecTable::kMix & 1) != 0,
-              "mixing constant must be odd so the line hash is a bijection");
+constexpr std::uintptr_t kTablePage = 4096;
 
-TEST(StripedOrecs, SameCacheLineMapsToSameRecord) {
+std::uintptr_t rec_addr(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(&orec_table().slot(p));
+}
+
+const void* line_addr(std::uintptr_t line) {
+  return reinterpret_cast<const void*>(line << OrecTable::kGranularityLog2);
+}
+
+TEST(OrecLayout, SameCacheLineMapsToSameRecord) {
   alignas(64) std::uint64_t line[8];
   for (int i = 1; i < 8; ++i) {
     EXPECT_EQ(OrecTable::index_of(&line[0]), OrecTable::index_of(&line[i]));
   }
 }
 
-TEST(StripedOrecs, AdjacentCacheLinesNeverCollideAndNeverShareAStripe) {
-  // The index delta between lines L and L+1 is (kMix >> 44) or that plus
-  // one (carry), both nonzero mod 2^20 and both >= kStripeSlots — so
-  // neighbouring lines get distinct records in distinct stripes. Check the
-  // claim empirically across a large contiguous region.
+TEST(OrecLayout, AdjacentCacheLinesNeverCollide) {
   static std::uint64_t region[1 << 15];
   const char* base = reinterpret_cast<const char*>(&region[0]);
   for (std::size_t off = 0; off + 64 < sizeof(region); off += 64) {
     ASSERT_NE(OrecTable::index_of(base + off), OrecTable::index_of(base + off + 64));
-    ASSERT_NE(OrecTable::stripe_of(base + off), OrecTable::stripe_of(base + off + 64));
   }
 }
 
-TEST(StripedOrecs, DistinctStripesLiveOnDistinctCacheLines) {
-  OrecTable& table = orec_table();
-  static std::uint64_t region[1 << 12];
-  const char* base = reinterpret_cast<const char*>(&region[0]);
-  const auto line_of = [](const void* p) {
-    return reinterpret_cast<std::uintptr_t>(p) / kCacheLineSize;
+TEST(OrecLayout, AlignedWindowOfEightLinesSharesOneOrecLine) {
+  // The 8 lines of an aligned 512-byte window have consecutive records
+  // starting at a multiple of 8, i.e. one cache line of the table; the next
+  // window starts the next table line.
+  alignas(512) static unsigned char region[512 * 64];
+  const std::uintptr_t windows[] = {
+      reinterpret_cast<std::uintptr_t>(&region[0]),
+      reinterpret_cast<std::uintptr_t>(&region[512 * 37]),
+      0x7f0000000000ull,
+      0x7f0000001200ull,
+      (OrecTable::kSize - 8) << OrecTable::kGranularityLog2,  // table end
   };
-  const void* prev = base;
-  for (std::size_t off = 64; off + 64 < sizeof(region); off += 64) {
-    const void* cur = base + off;
-    if (OrecTable::stripe_of(cur) != OrecTable::stripe_of(prev)) {
-      EXPECT_NE(line_of(&table.slot(cur)), line_of(&table.slot(prev)))
-          << "two stripes share a cache line: striping buys nothing";
+  for (const std::uintptr_t w : windows) {
+    ASSERT_EQ(w % 512, 0u);
+    const std::uintptr_t first = rec_addr(reinterpret_cast<const void*>(w));
+    EXPECT_EQ(first % kCacheLineSize, 0u) << std::hex << w;
+    for (std::uintptr_t off = 0; off < 512; off += 8) {
+      EXPECT_EQ(rec_addr(reinterpret_cast<const void*>(w + off)) / kCacheLineSize,
+                first / kCacheLineSize)
+          << std::hex << w << " + " << off;
     }
-    prev = cur;
+    EXPECT_NE(rec_addr(reinterpret_cast<const void*>(w + 512)) / kCacheLineSize,
+              first / kCacheLineSize);
   }
 }
 
-TEST(StripedOrecs, MixingHashSpreadsConsecutiveLines) {
-  // The old linear hash sent N consecutive cache lines to N consecutive
-  // records — a hot array concentrated its locks in a few stripe lines.
-  // The multiplicative hash must spread them: over 2^16 consecutive lines,
-  // indices are (nearly) all distinct and stripes are hit nearly evenly.
-  constexpr std::size_t kLines = 1 << 16;
-  std::vector<std::size_t> indices;
-  indices.reserve(kLines);
-  const std::uintptr_t base = 0x7f0000000000ull;  // arbitrary aligned base
-  for (std::size_t i = 0; i < kLines; ++i) {
-    indices.push_back(OrecTable::index_of(
-        reinterpret_cast<const void*>(base + i * kCacheLineSize)));
+TEST(OrecLayout, ContiguousRegionTouchesFewTablePages) {
+  // 4 MB of data is 65,536 lines, whose records fill 512 KB of the table:
+  // 128 pages, 129 when the run starts mid-page. (A hash that scatters
+  // lines over the table touches nearly all of its 2,048 pages.)
+  constexpr std::uintptr_t kRegion = std::uintptr_t{4} << 20;
+  const std::uintptr_t bases[] = {
+      0x7f0000000000ull,                      // page- and window-aligned
+      0x7f0000000000ull + 64 * 3,             // starts mid table line
+      0x7f0000000000ull + 4096 * 7 + 64 * 5,  // starts mid table page
+      0x55550000c040ull,
+  };
+  for (const std::uintptr_t base : bases) {
+    std::vector<std::uintptr_t> pages;
+    for (std::uintptr_t a = base; a < base + kRegion; a += 64) {
+      const std::uintptr_t page =
+          rec_addr(reinterpret_cast<const void*>(a)) / kTablePage;
+      if (pages.empty() || pages.back() != page) pages.push_back(page);
+    }
+    std::sort(pages.begin(), pages.end());
+    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+    EXPECT_LE(pages.size(), 129u) << std::hex << base;
   }
-  std::sort(indices.begin(), indices.end());
-  const std::size_t distinct =
-      static_cast<std::size_t>(std::unique(indices.begin(), indices.end()) -
-                               indices.begin());
-  EXPECT_GE(distinct, kLines * 9 / 10);
-  // Stripe histogram: no stripe soaks up more than a sliver of the lines.
-  std::vector<std::uint32_t> stripe_load(OrecTable::kStripes, 0);
-  std::uint32_t max_load = 0;
-  for (std::size_t i = 0; i < kLines; ++i) {
-    const std::size_t s = OrecTable::index_of(reinterpret_cast<const void*>(
-                              base + i * kCacheLineSize)) /
-                          OrecTable::kStripeSlots;
-    max_load = std::max(max_load, ++stripe_load[s]);
+}
+
+TEST(OrecLayout, LinesCollideExactlyWhenKSizeLinesApart) {
+  const std::uintptr_t lines[] = {0, 1, 12345, OrecTable::kSize - 1,
+                                  0x7f0000000000ull >> 6};
+  const std::uintptr_t k = OrecTable::kSize;
+  const std::uintptr_t deltas[] = {1,     2,         7,         8,     9,
+                                   4096,  k / 2,     k - 8,     k - 1, k,
+                                   k + 1, 2 * k - 1, 2 * k,     3 * k, 5 * k + 64};
+  for (const std::uintptr_t l : lines) {
+    for (const std::uintptr_t d : deltas) {
+      const bool collide = OrecTable::index_of(line_addr(l)) ==
+                           OrecTable::index_of(line_addr(l + d));
+      EXPECT_EQ(collide, d % k == 0) << "line " << l << " delta " << d;
+      EXPECT_EQ(collide, rec_addr(line_addr(l)) == rec_addr(line_addr(l + d)));
+    }
   }
-  // Perfectly even would be kLines / kStripes = 0.5; allow generous slack.
-  EXPECT_LE(max_load, 8u);
 }
 
 // ---------------------------------------------------------------------------

@@ -169,6 +169,97 @@ TEST_F(StmAdvanced, FalseConflictsAtCacheLineGranularity) {
             &orec_table().slot(reinterpret_cast<char*>(&line) + 64));
 }
 
+// The full read barrier skips a read-set entry that would repeat the last
+// one (same record, same observed word). These four cases pin what may and
+// may not be skipped.
+TEST_F(StmAdvanced, RepeatedReadOfOneLineKeepsOneReadSetEntry) {
+  alignas(64) std::uint64_t line[8] = {};
+  atomic([&](Tx& tx) {
+    (void)tm_read(tx, &line[0]);
+    (void)tm_read(tx, &line[5]);  // same line, same record
+    EXPECT_EQ(tx.rs.size(), 1u);
+  });
+  atomic([&](Tx& tx) {
+    (void)tm_read(tx, &line[3]);
+    (void)tm_read(tx, &line[3]);  // one word twice
+    EXPECT_EQ(tx.rs.size(), 1u);
+  });
+}
+
+TEST_F(StmAdvanced, OnlyBackToBackRepeatsAreSkipped) {
+  // A and B carry the same version word (one commit wrote both), so only
+  // the record tells them apart.
+  struct alignas(64) Line {
+    std::uint64_t v[8];
+  };
+  Line a{}, b{};
+  atomic([&](Tx& tx) {
+    tm_write(tx, &a.v[0], std::uint64_t{1});
+    tm_write(tx, &b.v[0], std::uint64_t{2});
+  });
+  ASSERT_EQ(orec_table().slot(&a).load(), orec_table().slot(&b).load());
+  atomic([&](Tx& tx) {
+    (void)tm_read(tx, &a.v[0]);
+    (void)tm_read(tx, &b.v[0]);
+    (void)tm_read(tx, &a.v[1]);
+    EXPECT_EQ(tx.rs.size(), 3u);
+  });
+}
+
+TEST_F(StmAdvanced, ChildRereadOfParentLineSurvivesPartialAbort) {
+  alignas(64) std::uint64_t line[8] = {};
+  alignas(64) std::uint64_t out = 0;
+  atomic([&](Tx& tx) {
+    (void)tm_read(tx, &line[0]);
+    ASSERT_EQ(tx.rs.size(), 1u);
+    const ReadEntry parent = tx.rs.back();
+    atomic([&](Tx& inner) {
+      (void)tm_read(inner, &line[1]);  // skipped: the parent's entry covers it
+      EXPECT_EQ(inner.rs.size(), 1u);
+      abort_tx();
+    });
+    ASSERT_EQ(tx.rs.size(), 1u);
+    EXPECT_EQ(tx.rs.back().rec, parent.rec);
+    EXPECT_EQ(tx.rs.back().observed, parent.observed);
+    tm_write(tx, &out, std::uint64_t{1});
+  });
+  const TxStats s = stats_snapshot();
+  EXPECT_EQ(s.nested_partial_aborts, 1u);
+  EXPECT_EQ(s.aborts, 0u);
+  EXPECT_EQ(out, 1u);
+}
+
+TEST_F(StmAdvanced, VersionBumpBetweenRepeatedReadsAbortsAtCommit) {
+  // The record of `line` changes between two reads to a word that is still
+  // inside the snapshot, so the second read neither conflicts nor extends.
+  // It must be logged (its word differs from the last entry's) and the
+  // commit must fail validation. The injected bump draws a clock stamp, as
+  // the commit of a writer would, so the commit really revalidates.
+  alignas(64) std::uint64_t line[8] = {};
+  alignas(64) std::uint64_t out = 0;
+  atomic([&](Tx& tx) { tm_write(tx, &line[0], std::uint64_t{1}); });
+  atomic([&](Tx& tx) { tm_write(tx, &out, std::uint64_t{1}); });
+  auto& rec = orec_table().slot(&line[0]);
+  int attempts = 0;
+  atomic([&](Tx& tx) {
+    ++attempts;
+    (void)tm_read(tx, &line[0]);
+    if (attempts == 1) {
+      const std::uint64_t seen = rec.load();
+      ASSERT_LT(orec::version_of(seen), tx.start_ts);
+      rec.store(orec::make_version(orec::version_of(seen) + 1));
+      (void)global_clock().advance();
+    }
+    (void)tm_read(tx, &line[1]);
+    EXPECT_EQ(tx.rs.size(), attempts == 1 ? 2u : 1u);
+    tm_write(tx, &out, std::uint64_t{2});
+  });
+  EXPECT_EQ(attempts, 2);
+  const TxStats s = stats_snapshot();
+  EXPECT_EQ(s.aborts, 1u);
+  EXPECT_EQ(s.aborts_validate, 1u);
+}
+
 TEST_F(StmAdvanced, AdjacentPoolBlocksNeverFalseConflict) {
   // Pairs of 40-byte objects from adjacent allocations of one pool; thread
   // 0 owns the first object of each pair, thread 1 the second. Each thread

@@ -1,7 +1,7 @@
 // High-thread correctness torture tier (ctest label: stress).
 //
 // Throughput depends on the runner's core count, so the scalability work —
-// global clock, striped orecs, backoff under oversubscription — is not
+// global clock, the orec table, backoff under oversubscription — is not
 // gated on it; it is gated on correctness under heavy oversubscription
 // instead: 16 and 32 threads (several per core on any CI runner) hammering
 // shared containers, under release, ASan, and TSan.
@@ -20,7 +20,7 @@
 //
 // Conflicts are still plentiful — different threads collide on the same
 // map nodes, hashtable buckets, counter orec, and container internals —
-// so backoff, the lazy-validation clock, and the striped table all get
+// so backoff, the lazy-validation clock, and the orec table all get
 // exercised; they just must not be OBSERVABLE. Two assertions per run:
 // the digest matches every other run's, and zero commits are lost
 // (commits == ops executed, and the counter balances to its closed-form
